@@ -59,7 +59,6 @@ from .group_ring import (
     is_positive,
     lift_vector,
     project_pi,
-    ring_add,
     ring_mul,
 )
 from .ordered_simplicial import (
@@ -86,7 +85,6 @@ from .gamma_maps import (
     kernels_equal,
     map_apply,
     map_compose,
-    map_equal,
     map_kernel,
     map_matrix,
     map_new,
@@ -140,10 +138,8 @@ from .extension import (
     ExtElt,
     ExtendedGroup,
     ExtendedTower,
-    ext_cone_contains,
     ext_dominating_coefficient,
     ext_interval_preimage,
-    ext_leq,
     ext_order_unit_check,
     ext_sdp_witness,
     extend_tower,

@@ -132,14 +132,6 @@ class ExtendedGroup:
         return shifted.is_positive()
 
 
-def ext_cone_contains(ext: ExtendedGroup, e: ExtElt) -> bool:
-    return ext.cone_contains(e)
-
-
-def ext_leq(a: ExtElt, b: ExtElt) -> bool:
-    return a.ext.cone_contains(b - a)
-
-
 def ext_dominating_coefficient(ext: ExtendedGroup, e: ExtElt) -> GroupRingElt:
     """Some c in the positive cone with e <= c * (0, identity coset)."""
     a = lift_vector(e.t.positive_part())

@@ -79,10 +79,6 @@ def map_compose(g: GammaLinearMap, f: GammaLinearMap) -> GammaLinearMap:
     return map_new(f.source, g.target, [map_apply(g, c) for c in f.columns])
 
 
-def map_equal(f: GammaLinearMap, g: GammaLinearMap) -> bool:
-    return f == g
-
-
 def map_matrix(f: GammaLinearMap) -> list[list[int]]:
     """Flattened integer matrix (target dim x source dim)."""
     src, tgt = f.source, f.target

@@ -236,10 +236,6 @@ class CosetVector:
         return f"CosetVector{self.coeffs}"
 
 
-def ring_add(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    return a + b
-
-
 def ring_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
     return a * b
 

@@ -32,6 +32,11 @@ def _need(payload: dict, key: str, context: str) -> Any:
     return payload[key]
 
 
+def _is_int(x: Any) -> bool:
+    """JSON integer check; ``bool`` is a subclass of ``int`` but not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_problem(path: str | Path, expected_kind: str) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -77,8 +82,8 @@ def group_from_json(payload: dict) -> FiniteGroup:
 def space_from_json(payload: dict, context: str = "simplicial") -> CosetSpace:
     group = group_from_json(_need(payload, "group", context))
     gens = _need(payload, "delta_gens", context)
-    if not isinstance(gens, list):
-        raise SchemaError(f"{context}: delta_gens must be a list")
+    if not isinstance(gens, list) or not all(_is_int(g) for g in gens):
+        raise SchemaError(f"{context}: delta_gens must be a list of integers")
     try:
         sub = subgroup_closure(group, gens)
     except ValueError as exc:
@@ -96,7 +101,7 @@ def space_to_json(space: CosetSpace) -> dict:
 def simplicial_from_json(payload: dict) -> SimplicialGroup:
     space = space_from_json(payload)
     rank = _need(payload, "rank", "simplicial")
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise SchemaError("simplicial: rank must be a nonnegative integer")
     return SimplicialGroup(space, rank)
 
@@ -259,7 +264,11 @@ def ring_from_json(payload: dict) -> MatricialRingDesc:
             raise SchemaError("ring: each component is an object")
         size = _need(c, "size", "ring component")
         shifts = _need(c, "shifts", "ring component")
-        if not isinstance(size, int) or not isinstance(shifts, list):
+        if (
+            not _is_int(size)
+            or not isinstance(shifts, list)
+            or not all(_is_int(s) for s in shifts)
+        ):
             raise SchemaError("ring: component size/shifts malformed")
         comps.append((size, shifts))
     try:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gammak0.cli import main
 from gammak0 import (
     cyclic_group,
@@ -232,6 +234,27 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert main(["k0", str(missing)]) == 2
     wrong = write(tmp_path, "w.json", "ring", {"group": z2_payload()})
     assert main(["k0", wrong]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, kind, payload",
+    [
+        ("check-simplicial", "simplicial", simplicial_payload(delta_gens=["a"])),
+        (
+            "k0",
+            "ring",
+            {"group": z2_payload(), "delta_gens": [], "components": [{"size": 1, "shifts": ["x"]}]},
+        ),
+        ("check-simplicial", "simplicial", simplicial_payload(rank=True)),
+    ],
+    ids=["delta_gens_str", "shifts_str", "rank_bool"],
+)
+def test_non_integer_fields_exit_2(tmp_path, capsys, command, kind, payload):
+    path = write(tmp_path, "p.json", kind, payload)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -55,6 +55,13 @@ def test_shen_injective_map_keeps_source():
     assert fact.middle == G
     assert fact.g12 == identity_map(G)
     assert fact.g2 == g1
+    # an injective map into a larger target still factors through its source
+    S = simplicial_over(Z2, [], 1)
+    g1 = map_new(S, G, [G.element([[1, 0], [0, 1]])])
+    fact = shen_step(g1)
+    assert fact.middle == S
+    assert fact.g12 == identity_map(S)
+    assert fact.g2 == g1
 
 
 def test_shen_requires_normal_stabilizer():
@@ -78,6 +85,19 @@ def test_shen_rank_zero_source():
     G = simplicial_over(Z2, [], 2)
     g1 = zero_map(Z, G)
     fact = shen_step(g1)
+    assert map_compose(fact.g2, fact.g12) == g1
+    assert kernels_equal(fact.g12, g1)
+
+
+def test_shen_rank_zero_target_keeps_target():
+    Z2 = cyclic_group(2)
+    S = simplicial_over(Z2, [], 2)
+    T = simplicial_over(Z2, [], 0)
+    g1 = zero_map(S, T)
+    fact = shen_step(g1)
+    assert fact.middle.rank == 0
+    assert fact.g12 == g1
+    assert fact.g2 == identity_map(T)
     assert map_compose(fact.g2, fact.g12) == g1
     assert kernels_equal(fact.g12, g1)
 
