@@ -3,12 +3,15 @@
 Exit codes: 0 on success or a true answer, 1 on a false or refuted answer,
 2 on any input or validation error.  Reports are deterministic for a fixed
 input; pass --json for machine-readable output and --cert to write the
-certificate of the run.
+certificate of the run, which is the --json output itself except under
+``unperf-witness --m1``.  The parser is built once per process, so ``main``
+may be called repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,17 +35,18 @@ from .shen import shen_step
 from .serialize import dump_json
 
 
-def _write_cert(path: str | None, data) -> None:
-    if path:
-        Path(path).write_text(dump_json(data), encoding="utf-8")
-
-
-def _emit(args, report_lines: list[str], payload: dict) -> None:
+def _emit(args, report_lines: list[str], data, cert: bool = True) -> None:
+    """Print the report, then write ``data`` to the --cert path unless ``cert``
+    is false.  ``data`` is encoded once, so the certificate is byte-identical
+    to the --json output."""
+    text = dump_json(data) if args.json or (cert and args.cert) else ""
     if args.json:
-        sys.stdout.write(dump_json(payload))
+        sys.stdout.write(text)
     else:
         for line in report_lines:
             sys.stdout.write(line + "\n")
+    if cert and args.cert:
+        Path(args.cert).write_text(text, encoding="utf-8")
 
 
 def _cmd_check_simplicial(args) -> int:
@@ -72,7 +76,6 @@ def _cmd_check_simplicial(args) -> int:
         lines.append(f"unit is order-unit: {ok}")
         data["unit_is_order_unit"] = ok
     _emit(args, lines, data)
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -86,7 +89,6 @@ def _cmd_sdp_witness(args) -> int:
         return 2
     data = io.sdp_witness_to_json(w)
     _emit(args, [f"decomposition witness with m={w.m}; verified"], data)
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -100,11 +102,13 @@ def _cmd_unperf_witness(args) -> int:
                 args,
                 ["no single-term witness inside the coefficient box"],
                 {"m1_witness": None},
+                cert=False,
             )
             return 1
         data = io.unperf_witness_to_json(found)
-        _emit(args, ["single-term witness found"], {"m1_witness": data})
-        _write_cert(args.cert, data)
+        _emit(args, ["single-term witness found"], {"m1_witness": data}, cert=False)
+        if args.cert:
+            Path(args.cert).write_text(dump_json(data), encoding="utf-8")
         return 0
     w = unperforation_witness(group, a, x)
     check = verify_unperforation_witness(group, a, x, w)
@@ -113,7 +117,6 @@ def _cmd_unperf_witness(args) -> int:
         return 2
     data = io.unperf_witness_to_json(w)
     _emit(args, [f"unperforation witness with m={w.m}; verified"], data)
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -130,7 +133,6 @@ def _cmd_shen(args) -> int:
         ],
         data,
     )
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -152,7 +154,6 @@ def _cmd_realize(args) -> int:
         "unit class reproduced exactly",
     ]
     _emit(args, lines, data)
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -171,7 +172,6 @@ def _cmd_realize_tower(args) -> int:
     lines = [f"level {n}: {r.describe()}" for n, r in enumerate(realized.rings)]
     lines.append(f"{len(realized.specs)} connecting specs; certificates verified")
     _emit(args, lines, data)
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -192,7 +192,6 @@ def _cmd_k0(args) -> int:
         f"unit class: {io.vector_to_json(k0.unit_class)}",
     ]
     _emit(args, lines, data)
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -202,7 +201,6 @@ def _cmd_graded_iso(args) -> int:
     same = graded_iso(first, second)
     data = {"isomorphic": same}
     _emit(args, [f"graded isomorphic: {same}"], data)
-    _write_cert(args.cert, data)
     return 0 if same else 1
 
 
@@ -220,7 +218,6 @@ def _cmd_extend(args) -> int:
         [f"extended {len(ext.levels)} levels; commuting squares verified"],
         data,
     )
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -240,7 +237,6 @@ def _cmd_ext_sdp(args) -> int:
         return 2
     data = io.sdp_witness_to_json(w)
     _emit(args, [f"extension decomposition witness with m={w.m}; verified"], data)
-    _write_cert(args.cert, data)
     return 0
 
 
@@ -254,7 +250,6 @@ def _cmd_colimit_eq(args) -> int:
     answer = colimit_eq(tower, p, q, args.horizon)
     data = {"kind": answer.kind, "level": answer.level, "reason": answer.reason}
     _emit(args, [f"colimit equality: {answer.kind} (level {answer.level})"], data)
-    _write_cert(args.cert, data)
     if answer.kind == "equal":
         return 0
     if answer.kind == "not_equal_up_to":
@@ -262,6 +257,7 @@ def _cmd_colimit_eq(args) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamma-k0",

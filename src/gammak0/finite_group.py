@@ -106,6 +106,11 @@ class CosetSpace:
         return f"CosetSpace(|G|={self.parent.order}, |D|={self.sub.order}, cosets={self.num_cosets})"
 
 
+def _is_int(x) -> bool:
+    """JSON integer check; ``bool`` is a subclass of ``int`` but not an integer here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def group_from_table(
     table: Sequence[Sequence[int]], names: Sequence[str] | None = None
 ) -> FiniteGroup:
@@ -122,7 +127,7 @@ def group_from_table(
         if len(row) != n:
             raise ValueError("table is not square")
         for x in row:
-            if not isinstance(x, int) or x < 0 or x >= n:
+            if not _is_int(x) or x < 0 or x >= n:
                 raise ValueError(f"table entry {x!r} out of range")
         rows.append(tuple(int(x) for x in row))
     mul = tuple(rows)

@@ -7,6 +7,7 @@ graded isomorphism depend only on the stabilizer subgroup and the shifts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,20 +59,31 @@ def matricial_ring(space: CosetSpace, components: Sequence[tuple[int, Sequence[i
     return MatricialRingDesc(space=space, components=comps)
 
 
+def right_coset_counts(space: CosetSpace, comp: MatricialComponent) -> list[int]:
+    """Slots of a component per right coset D*s of their shift, indexed by the
+    left coset of s^{-1}; the class data below depends on the shifts only
+    through these counts."""
+    counts = [0] * space.num_cosets
+    for s, k in Counter(comp.shifts).items():
+        counts[space.elt_to_coset[space.parent.inv[s]]] += k
+    return counts
+
+
 def homog_dim(ring: MatricialRingDesc, d: int) -> int:
     """Dimension of the degree-d homogeneous component over the base field.
 
     Entry (k, l) of a component contributes exactly when the conjugated
-    degree lands in the stabilizer subgroup.
+    degree g_k*d*g_l^{-1} lands in the stabilizer subgroup D.  For shifts
+    counted at a and b by ``right_coset_counts`` that holds iff d sends left
+    coset b to left coset a, so a component contributes sum_b m[d.b] * m[b],
+    at a cost linear in its size.
     """
-    G = ring.space.parent
-    sub = set(ring.space.sub.members)
+    space = ring.space
+    moved = [space.act(d, b) for b in range(space.num_cosets)]
     count = 0
     for comp in ring.components:
-        for gk in comp.shifts:
-            for gl in comp.shifts:
-                if G.mul[G.mul[gk][d]][G.inv[gl]] in sub:
-                    count += 1
+        m = right_coset_counts(space, comp)
+        count += sum(m[a] * mb for a, mb in zip(moved, m))
     return count
 
 
@@ -91,24 +103,13 @@ def k0_of_matricial(ring: MatricialRingDesc) -> K0Data:
     """Class data: one basis class per component; the unit class collects the
     left cosets of the inverted shifts."""
     space = ring.space
-    G = space.parent
     group = SimplicialGroup(space, ring.num_components)
-    coords = []
-    for comp in ring.components:
-        row = [0] * space.num_cosets
-        for s in comp.shifts:
-            row[space.elt_to_coset[G.inv[s]]] += 1
-        coords.append(CosetVector(space, row))
+    coords = [CosetVector(space, right_coset_counts(space, comp)) for comp in ring.components]
     return K0Data(group=group, unit_class=GammaVector(group, tuple(coords)))
 
 
-def right_coset_id(space: CosetSpace, g: int) -> int:
-    """Canonical id of the right coset (sub)*g: the left-coset index of g^{-1}."""
-    return space.elt_to_coset[space.parent.inv[g]]
-
-
 def component_key(space: CosetSpace, comp: MatricialComponent) -> tuple[int, tuple[int, ...]]:
-    return comp.size, tuple(sorted(right_coset_id(space, s) for s in comp.shifts))
+    return comp.size, tuple(right_coset_counts(space, comp))
 
 
 def graded_iso(r: MatricialRingDesc, s: MatricialRingDesc) -> bool:

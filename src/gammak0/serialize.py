@@ -11,9 +11,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .errors import SchemaError
+from .errors import SchemaError, ShapeMismatch
 from .extension import ExtElt, ExtendedGroup
-from .finite_group import CosetSpace, FiniteGroup, coset_space, group_from_table, subgroup_closure
+from .finite_group import CosetSpace, FiniteGroup, _is_int, coset_space, group_from_table, subgroup_closure
 from .gamma_maps import GammaLinearMap, map_new
 from .graded_matricial import MatricialRingDesc, matricial_ring
 from .group_ring import CosetVector, GroupRingElt
@@ -30,11 +30,6 @@ def _need(payload: dict, key: str, context: str) -> Any:
     if key not in payload:
         raise SchemaError(f"{context}: missing key {key!r}")
     return payload[key]
-
-
-def _is_int(x: Any) -> bool:
-    """JSON integer check; ``bool`` is a subclass of ``int`` but not an integer here."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_problem(path: str | Path, expected_kind: str) -> dict:
@@ -70,6 +65,8 @@ def group_to_json(group: FiniteGroup) -> dict:
 def group_from_json(payload: dict) -> FiniteGroup:
     table = _need(payload, "mul", "group")
     order = _need(payload, "order", "group")
+    if not _is_int(order):
+        raise SchemaError("group: order must be an integer")
     if not isinstance(table, list) or len(table) != order:
         raise SchemaError("group: mul table size disagrees with order")
     names = payload.get("names")
@@ -116,13 +113,13 @@ def vector_from_json(group: SimplicialGroup, data: Any, context: str = "vector")
     if not isinstance(data, list):
         raise SchemaError(f"{context}: expected a list")
     nc = group.space.num_cosets
-    if group.rank == 1 and data and all(isinstance(x, int) for x in data):
+    if group.rank == 1 and data and all(_is_int(x) for x in data):
         data = [data]
     if len(data) != group.rank:
         raise SchemaError(f"{context}: expected {group.rank} coordinates")
     coords = []
     for row in data:
-        if not isinstance(row, list) or len(row) != nc or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or len(row) != nc or not all(_is_int(x) for x in row):
             raise SchemaError(f"{context}: each coordinate needs {nc} integers")
         coords.append(CosetVector(group.space, row))
     return GammaVector(group, coords)
@@ -144,7 +141,7 @@ def ring_elt_from_json(group: FiniteGroup, data: Any, context: str = "coefficien
             g = int(key)
         except ValueError:
             raise SchemaError(f"{context}: bad element index {key!r}")
-        if not isinstance(val, int):
+        if not _is_int(val):
             raise SchemaError(f"{context}: bad coefficient {val!r}")
         if g < 0 or g >= group.order:
             raise SchemaError(f"{context}: element index {g} out of range")
@@ -201,7 +198,7 @@ def unperf_from_json(payload: dict) -> tuple[SimplicialGroup, GroupRingElt, Gamm
 def tower_from_json(payload: dict) -> Tower:
     space = space_from_json(payload, context="tower")
     ranks = _need(payload, "ranks", "tower")
-    if not isinstance(ranks, list) or not all(isinstance(r, int) and r >= 0 for r in ranks):
+    if not isinstance(ranks, list) or not all(_is_int(r) and r >= 0 for r in ranks):
         raise SchemaError("tower: ranks must be a list of nonnegative integers")
     groups = [SimplicialGroup(space, r) for r in ranks]
     maps_data = _need(payload, "maps", "tower")
@@ -240,11 +237,11 @@ def colimit_elt_from_json(t: Tower, data: Any, context: str = "element") -> Coli
     if not isinstance(data, dict):
         raise SchemaError(f"{context}: expected an object with 'level' and 'value'")
     level = _need(data, "level", context)
-    if not isinstance(level, int) or level < 0:
+    if not _is_int(level) or level < 0:
         raise SchemaError(f"{context}: level must be a nonnegative integer")
     try:
         group = t.group_at(level)
-    except Exception:
+    except ShapeMismatch:
         raise SchemaError(f"{context}: level {level} beyond the tower")
     value = vector_from_json(group, _need(data, "value", context), context=context)
     return ColimitElt(level=level, value=value)
@@ -312,7 +309,7 @@ def ext_elt_from_json(ext: ExtendedGroup, data: Any, context: str = "pair") -> E
     x = vector_from_json(ext.base, _need(data, "x", context), context=context)
     t_data = _need(data, "t", context)
     nc = ext.base.space.num_cosets
-    if not isinstance(t_data, list) or len(t_data) != nc or not all(isinstance(v, int) for v in t_data):
+    if not isinstance(t_data, list) or len(t_data) != nc or not all(_is_int(v) for v in t_data):
         raise SchemaError(f"{context}: t needs {nc} integers")
     return ExtElt(ext, x, CosetVector(ext.base.space, t_data))
 

@@ -1,8 +1,14 @@
 """Command-line front end: subcommands, exit codes, certificates, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gammak0
 
 from gammak0.cli import main
 from gammak0 import (
@@ -65,8 +71,8 @@ def test_realize_with_unit_flag(tmp_path, capsys):
     assert data["components"] == [{"size": 3, "shifts": [0, 0, 1]}]
 
 
-def test_sdp_witness_cert_reverifies(tmp_path, capsys):
-    payload = {
+def sdp_relation_payload():
+    return {
         "simplicial": simplicial_payload(rank=2),
         "coeffs": [
             {"coeffs": {"0": 1, "1": 1}},
@@ -79,6 +85,10 @@ def test_sdp_witness_cert_reverifies(tmp_path, capsys):
             [[0, 0], [1, 1]],
         ],
     }
+
+
+def test_sdp_witness_cert_reverifies(tmp_path, capsys):
+    payload = sdp_relation_payload()
     path = write(tmp_path, "rel.json", "relation", payload)
     cert = tmp_path / "w.json"
     assert main(["--cert", str(cert), "sdp-witness", path]) == 0
@@ -101,12 +111,17 @@ def test_sdp_witness_cert_reverifies(tmp_path, capsys):
     assert verify_sdp_witness(group, a, x, w)
 
 
-def test_unperf_witness_and_m1_refutation(tmp_path, capsys):
-    payload = {
+def perforated_payload():
+    """The perforated pair: witnessed in general, refuted by the --m1 search."""
+    return {
         "simplicial": simplicial_payload(rank=2),
         "a": {"coeffs": {"0": 1, "1": 1}},
         "x": [[1, -1], [2, -1]],
     }
+
+
+def test_unperf_witness_and_m1_refutation(tmp_path, capsys):
+    payload = perforated_payload()
     path = write(tmp_path, "u.json", "relation", payload)
     cert = tmp_path / "w.json"
     assert main(["--cert", str(cert), "unperf-witness", path]) == 0
@@ -212,16 +227,20 @@ def test_colimit_eq_not_equal(tmp_path):
     assert main(["--horizon", "1", "colimit-eq", path]) == 1
 
 
-def test_ext_sdp_command(tmp_path):
-    payload = {
+def ext_payload(t=1):
+    return {
         "simplicial": {"group": z2_payload(), "delta_gens": [0, 1], "rank": 1},
         "unit": [[1]],
         "coeffs": [{"coeffs": {"0": 1}}, {"coeffs": {"0": -1}}],
         "pairs": [
-            {"x": [[0]], "t": [1]},
+            {"x": [[0]], "t": [t]},
             {"x": [[0]], "t": [1]},
         ],
     }
+
+
+def test_ext_sdp_command(tmp_path):
+    payload = ext_payload()
     path = write(tmp_path, "e.json", "extension", payload)
     assert main(["ext-sdp-witness", path]) == 0
 
@@ -255,6 +274,167 @@ def test_non_integer_fields_exit_2(tmp_path, capsys, command, kind, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def hom_payload(column):
+    return {
+        "source": simplicial_payload(rank=1),
+        "target": simplicial_payload(rank=1),
+        "columns": [[column]],
+    }
+
+
+def ring_payload(*components):
+    return {
+        "group": z2_payload(),
+        "delta_gens": [],
+        "components": [{"size": len(shifts), "shifts": shifts} for shifts in components],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, kind, payload, extra",
+    [
+        ("realize", "simplicial", simplicial_payload(), ["--unit", "[[true, 2]]"]),
+        (
+            "check-simplicial",
+            "simplicial",
+            dict(simplicial_payload(), group={"order": 2, "mul": [[False, True], [True, False]]}),
+            [],
+        ),
+        ("check-simplicial", "simplicial", dict(simplicial_payload(), group={"order": True, "mul": [[0]]}), []),
+        ("extend", "tower", dict(tower_payload(), ranks=[1, True]), []),
+        ("shen", "hom", hom_payload([True, 1]), []),
+        (
+            "colimit-eq",
+            "tower",
+            dict(tower_payload(), p={"level": True, "value": [[1, 0]]}, q={"level": 0, "value": [[1, 0]]}),
+            [],
+        ),
+        (
+            "sdp-witness",
+            "relation",
+            {"simplicial": simplicial_payload(), "coeffs": [{"coeffs": {"0": True}}], "vectors": [[[0, 0]]]},
+            [],
+        ),
+        ("ext-sdp-witness", "extension", ext_payload(t=True), []),
+    ],
+    ids=["unit", "mul_table", "order", "tower_ranks", "map_column", "level", "coefficient", "ext_t"],
+)
+def test_bool_integer_fields_exit_2(tmp_path, capsys, command, kind, payload, extra):
+    path = write(tmp_path, "p.json", kind, payload)
+    assert main([command, path, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_k0_homog_dim_at_mass_20000(tmp_path, capsys):
+    path = write(tmp_path, "ring.json", "ring", ring_payload([0] * 9000 + [1] * 6000, [1] * 5000))
+    assert main(["--json", "k0", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["unit_class"] == [[9000, 6000], [0, 5000]]
+    assert data["homog_dim_identity"] == 9000**2 + 6000**2 + 5000**2
+
+
+def nilpotent_tower_payload():
+    """Repeating tower e1 -> e2 -> 0 over Z/2: p = e1 and q = 0 agree from level 2 on."""
+    return {
+        "group": z2_payload(),
+        "delta_gens": [],
+        "ranks": [2, 2],
+        "maps": [{"columns": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}],
+        "repeat_last": True,
+        "p": {"level": 0, "value": [[1, 0], [0, 0]]},
+        "q": {"level": 0, "value": [[0, 0], [0, 0]]},
+    }
+
+
+def colimit_payload(p, q):
+    return dict(tower_payload(), p={"level": 0, "value": [p]}, q={"level": 0, "value": [q]})
+
+
+# (flags, command, problem files, trailing args, exit code) for every subcommand
+CLI_CASES = {
+    "check-simplicial": ([], "check-simplicial", [("simplicial", simplicial_payload(rank=2))], [], 0),
+    "check-simplicial-unit": (
+        [], "check-simplicial", [("simplicial", dict(simplicial_payload(), unit=[[1, 1]]))], [], 0
+    ),
+    "sdp-witness": ([], "sdp-witness", [("relation", sdp_relation_payload())], [], 0),
+    "unperf-witness": ([], "unperf-witness", [("relation", perforated_payload())], [], 0),
+    "shen": ([], "shen", [("hom", hom_payload([1, 1]))], [], 0),
+    "realize": ([], "realize", [("simplicial", simplicial_payload())], ["--unit", "[2,1]"], 0),
+    "realize-tower": ([], "realize-tower", [("tower", tower_payload(mode="unit"))], [], 0),
+    "k0": ([], "k0", [("ring", ring_payload([0, 0, 1]))], [], 0),
+    "graded-iso-true": ([], "graded-iso", [("ring", ring_payload([0, 1])), ("ring", ring_payload([1, 0]))], [], 0),
+    "graded-iso-false": ([], "graded-iso", [("ring", ring_payload([0, 1])), ("ring", ring_payload([0, 0]))], [], 1),
+    "extend": ([], "extend", [("tower", tower_payload())], [], 0),
+    "ext-sdp-witness": ([], "ext-sdp-witness", [("extension", ext_payload())], [], 0),
+    "colimit-eq-equal": (["--horizon", "2"], "colimit-eq", [("tower", colimit_payload([1, -1], [0, 0]))], [], 0),
+    "colimit-eq-unknown": (["--horizon", "1"], "colimit-eq", [("tower", colimit_payload([1, 0], [0, 0]))], [], 2),
+    "colimit-eq-not-equal": (
+        ["--horizon", "1"],
+        "colimit-eq",
+        [("tower", dict(colimit_payload([1, 0], [2, 0]), maps=[{"columns": [[[1, 0]]]}]))],
+        [],
+        1,
+    ),
+    "colimit-eq-repeating": ([], "colimit-eq", [("tower", nilpotent_tower_payload())], [], 0),
+}
+
+
+@pytest.mark.parametrize("flags, command, files, extra, code", CLI_CASES.values(), ids=CLI_CASES.keys())
+def test_cert_file_equals_json_stdout(tmp_path, capsys, flags, command, files, extra, code):
+    paths = [write(tmp_path, f"{n}.json", kind, payload) for n, (kind, payload) in enumerate(files)]
+    cert = tmp_path / "cert.json"
+    assert main(["--json", "--cert", str(cert), *flags, command, *paths, *extra]) == code
+    assert cert.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+def test_m1_cert_is_the_bare_witness(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    found = write(
+        tmp_path,
+        "found.json",
+        "relation",
+        {"simplicial": simplicial_payload(), "a": {"coeffs": {"0": 1}}, "x": [[1, 0]]},
+    )
+    assert main(["--json", "--cert", str(cert), "unperf-witness", found, "--m1"]) == 0
+    witness = json.loads(capsys.readouterr().out)["m1_witness"]
+    assert witness["m"] == 1
+    assert cert.read_text(encoding="utf-8") == io.dump_json(witness)
+    cert.unlink()
+    refuted = write(tmp_path, "refuted.json", "relation", perforated_payload())
+    assert main(["--json", "--cert", str(cert), "unperf-witness", refuted, "--m1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"m1_witness": None}
+    assert not cert.exists()
+
+
+def fresh_run(argv):
+    """Exit code and stdout of ``argv`` as the first call of a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gammak0.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gammak0.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_main_keeps_no_option_between_calls(tmp_path, capsys):
+    tower = write(tmp_path, "t.json", "tower", nilpotent_tower_payload())
+    relation = write(tmp_path, "u.json", "relation", perforated_payload())
+    simplicial = write(tmp_path, "s.json", "simplicial", dict(simplicial_payload(), unit=[[1, 1]]))
+    pairs = [
+        (["--horizon", "1", "colimit-eq", tower], ["colimit-eq", tower]),
+        (["unperf-witness", relation, "--m1"], ["unperf-witness", relation]),
+        (["realize", simplicial, "--unit", "[2,1]"], ["realize", simplicial]),
+    ]
+    for first, second in pairs:
+        expected = {0: fresh_run(first), 1: fresh_run(second)}
+        assert expected[0] != expected[1]  # the option changes the answer
+        for which, argv in ((0, first), (1, second), (0, first), (1, second)):
+            code = main(argv)
+            assert (code, capsys.readouterr().out) == expected[which], argv
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -79,6 +79,31 @@ def test_homog_dim_brute_force_oracle():
                 assert homog_dim(R, d) == brute
 
 
+def test_homog_dim_matches_pair_count_at_real_sizes():
+    rng = random.Random(97)
+    d3 = dihedral_group(3)
+    s_only = coset_space(d3, subgroup_closure(d3, [3]))  # <s> in D3, not normal
+    assert not s_only.is_normal
+    cases = [(g, random_space(rng, g)) for g in small_groups() for _ in range(3)]
+    cases.append((d3, s_only))
+    for g, space in cases:
+        sub = set(space.sub.members)
+        comps = [
+            (p, [rng.randrange(g.order) for _ in range(p)])
+            for p in [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
+        ]
+        R = matricial_ring(space, comps)
+        for d in g.elements():
+            pairs = sum(
+                1
+                for _, shifts in comps
+                for gk in shifts
+                for gl in shifts
+                if g.mul[g.mul[gk][d]][g.inv[gl]] in sub
+            )
+            assert homog_dim(R, d) == pairs
+
+
 def test_k0_single_component_over_subgroup_ring():
     d3 = dihedral_group(3)
     space = coset_space(d3, subgroup_closure(d3, [3]))
