@@ -65,7 +65,6 @@ from .ordered_simplicial import (
     GammaVector,
     IdealSplit,
     SimplicialGroup,
-    cone_contains,
     dominating_coefficient,
     enumerate_interval,
     group_stabilizer,
@@ -75,7 +74,6 @@ from .ordered_simplicial import (
     is_order_unit,
     leq,
     riesz_refine,
-    unflatten,
 )
 from .gamma_maps import (
     GammaLinearMap,

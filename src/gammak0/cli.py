@@ -35,15 +35,16 @@ from .shen import shen_step
 from .serialize import dump_json
 
 
-def _emit(args, report_lines: list[str], data, cert: bool = True) -> None:
+def _emit(args, report, data, cert: bool = True) -> None:
     """Print the report, then write ``data`` to the --cert path unless ``cert``
-    is false.  ``data`` is encoded once, so the certificate is byte-identical
-    to the --json output."""
+    is false.  ``report`` returns the text lines and is called only without
+    --json.  ``data`` is encoded once, so the certificate is byte-identical to
+    the --json output."""
     text = dump_json(data) if args.json or (cert and args.cert) else ""
     if args.json:
         sys.stdout.write(text)
     else:
-        for line in report_lines:
+        for line in report():
             sys.stdout.write(line + "\n")
     if cert and args.cert:
         Path(args.cert).write_text(text, encoding="utf-8")
@@ -54,14 +55,6 @@ def _cmd_check_simplicial(args) -> int:
     group = io.simplicial_from_json(payload)
     space = group.space
     stab = group_stabilizer(group)
-    lines = [
-        f"rank: {group.rank}",
-        f"group order: {space.parent.order}",
-        f"stabilizer subgroup: {[space.parent.name_of(g) for g in space.sub.members]}",
-        f"normal: {space.is_normal}",
-        f"cosets: {space.num_cosets}",
-        f"module stabilizer: {[space.parent.name_of(g) for g in stab.members]}",
-    ]
     data = {
         "rank": group.rank,
         "order": space.parent.order,
@@ -70,12 +63,24 @@ def _cmd_check_simplicial(args) -> int:
         "cosets": space.num_cosets,
         "module_stabilizer": list(stab.members),
     }
+    unit_lines = []
     if "unit" in payload:
         unit = io.vector_from_json(group, payload["unit"], context="unit")
-        ok = group.cone_contains(unit) and is_order_unit(group, unit)
-        lines.append(f"unit is order-unit: {ok}")
-        data["unit_is_order_unit"] = ok
-    _emit(args, lines, data)
+        ok = data["unit_is_order_unit"] = group.cone_contains(unit) and is_order_unit(group, unit)
+        unit_lines.append(f"unit is order-unit: {ok}")
+    _emit(
+        args,
+        lambda: [
+            f"rank: {group.rank}",
+            f"group order: {space.parent.order}",
+            f"stabilizer subgroup: {[space.parent.name_of(g) for g in space.sub.members]}",
+            f"normal: {space.is_normal}",
+            f"cosets: {space.num_cosets}",
+            f"module stabilizer: {[space.parent.name_of(g) for g in stab.members]}",
+            *unit_lines,
+        ],
+        data,
+    )
     return 0
 
 
@@ -88,7 +93,7 @@ def _cmd_sdp_witness(args) -> int:
         sys.stderr.write(f"witness failed verification: {check.reason}\n")
         return 2
     data = io.sdp_witness_to_json(w)
-    _emit(args, [f"decomposition witness with m={w.m}; verified"], data)
+    _emit(args, lambda: [f"decomposition witness with m={w.m}; verified"], data)
     return 0
 
 
@@ -100,13 +105,13 @@ def _cmd_unperf_witness(args) -> int:
         if found is None:
             _emit(
                 args,
-                ["no single-term witness inside the coefficient box"],
+                lambda: ["no single-term witness inside the coefficient box"],
                 {"m1_witness": None},
                 cert=False,
             )
             return 1
         data = io.unperf_witness_to_json(found)
-        _emit(args, ["single-term witness found"], {"m1_witness": data}, cert=False)
+        _emit(args, lambda: ["single-term witness found"], {"m1_witness": data}, cert=False)
         if args.cert:
             Path(args.cert).write_text(dump_json(data), encoding="utf-8")
         return 0
@@ -116,7 +121,7 @@ def _cmd_unperf_witness(args) -> int:
         sys.stderr.write(f"witness failed verification: {check.reason}\n")
         return 2
     data = io.unperf_witness_to_json(w)
-    _emit(args, [f"unperforation witness with m={w.m}; verified"], data)
+    _emit(args, lambda: [f"unperforation witness with m={w.m}; verified"], data)
     return 0
 
 
@@ -127,7 +132,7 @@ def _cmd_shen(args) -> int:
     data = io.shen_to_json(fact)
     _emit(
         args,
-        [
+        lambda: [
             f"factored through rank {fact.middle.rank}",
             "postconditions verified: composition and kernel lattice",
         ],
@@ -146,14 +151,16 @@ def _cmd_realize(args) -> int:
         unit = io.vector_from_json(group, payload["unit"], context="unit")
     else:
         raise io.SchemaError("realize: provide a unit in the payload or via --unit")
-    realized = realize_simplicial(group, unit)
-    data = io.ring_to_json(realized.ring)
-    lines = [
-        f"ring: {realized.ring.describe()}",
-        f"components: {realized.ring.num_components}",
-        "unit class reproduced exactly",
-    ]
-    _emit(args, lines, data)
+    ring = realize_simplicial(group, unit).ring
+    _emit(
+        args,
+        lambda: [
+            f"ring: {ring.describe()}",
+            f"components: {ring.num_components}",
+            "unit class reproduced exactly",
+        ],
+        io.ring_to_json(ring),
+    )
     return 0
 
 
@@ -169,9 +176,12 @@ def _cmd_realize_tower(args) -> int:
         "rings": [io.ring_to_json(r) for r in realized.rings],
         "specs": [io.hom_spec_to_json(s) for s in realized.specs],
     }
-    lines = [f"level {n}: {r.describe()}" for n, r in enumerate(realized.rings)]
-    lines.append(f"{len(realized.specs)} connecting specs; certificates verified")
-    _emit(args, lines, data)
+    _emit(
+        args,
+        lambda: [f"level {n}: {r.describe()}" for n, r in enumerate(realized.rings)]
+        + [f"{len(realized.specs)} connecting specs; certificates verified"],
+        data,
+    )
     return 0
 
 
@@ -186,12 +196,15 @@ def _cmd_k0(args) -> int:
         "unit_class": io.vector_to_json(k0.unit_class),
         "homog_dim_identity": homog_dim(ring, space.parent.identity),
     }
-    lines = [
-        f"rank: {k0.group.rank}",
-        f"stabilizer subgroup: {[space.parent.name_of(g) for g in space.sub.members]}",
-        f"unit class: {io.vector_to_json(k0.unit_class)}",
-    ]
-    _emit(args, lines, data)
+    _emit(
+        args,
+        lambda: [
+            f"rank: {k0.group.rank}",
+            f"stabilizer subgroup: {[space.parent.name_of(g) for g in space.sub.members]}",
+            f"unit class: {data['unit_class']}",
+        ],
+        data,
+    )
     return 0
 
 
@@ -200,7 +213,7 @@ def _cmd_graded_iso(args) -> int:
     second = io.ring_from_json(io.load_problem(args.other, "ring"))
     same = graded_iso(first, second)
     data = {"isomorphic": same}
-    _emit(args, [f"graded isomorphic: {same}"], data)
+    _emit(args, lambda: [f"graded isomorphic: {same}"], data)
     return 0 if same else 1
 
 
@@ -213,11 +226,7 @@ def _cmd_extend(args) -> int:
         "unit": io.ext_elt_to_json(ext.levels[0].order_unit()),
         "squares_verified": True,
     }
-    _emit(
-        args,
-        [f"extended {len(ext.levels)} levels; commuting squares verified"],
-        data,
-    )
+    _emit(args, lambda: [f"extended {len(ext.levels)} levels; commuting squares verified"], data)
     return 0
 
 
@@ -226,7 +235,7 @@ def _cmd_ext_sdp(args) -> int:
     ext = io.extension_from_json(payload)
     coeffs = payload.get("coeffs")
     pairs = payload.get("pairs")
-    if coeffs is None or pairs is None:
+    if not isinstance(coeffs, list) or not isinstance(pairs, list):
         raise io.SchemaError("extension: relation needs 'coeffs' and 'pairs'")
     a = [io.ring_elt_from_json(ext.base.space.parent, c) for c in coeffs]
     elts = [io.ext_elt_from_json(ext, p) for p in pairs]
@@ -236,7 +245,7 @@ def _cmd_ext_sdp(args) -> int:
         sys.stderr.write(f"witness failed verification: {check.reason}\n")
         return 2
     data = io.sdp_witness_to_json(w)
-    _emit(args, [f"extension decomposition witness with m={w.m}; verified"], data)
+    _emit(args, lambda: [f"extension decomposition witness with m={w.m}; verified"], data)
     return 0
 
 
@@ -249,7 +258,7 @@ def _cmd_colimit_eq(args) -> int:
     q = io.colimit_elt_from_json(tower, payload["q"], context="q")
     answer = colimit_eq(tower, p, q, args.horizon)
     data = {"kind": answer.kind, "level": answer.level, "reason": answer.reason}
-    _emit(args, [f"colimit equality: {answer.kind} (level {answer.level})"], data)
+    _emit(args, lambda: [f"colimit equality: {answer.kind} (level {answer.level})"], data)
     if answer.kind == "equal":
         return 0
     if answer.kind == "not_equal_up_to":
@@ -326,14 +335,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineError as exc:
+    except (EngineError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: invalid JSON ({exc})\n")
         return 2
 
 

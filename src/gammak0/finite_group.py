@@ -21,12 +21,6 @@ class FiniteGroup:
     inv: tuple[int, ...]
     names: tuple[str, ...] | None = field(default=None, compare=False)
 
-    def mul_elt(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inv_elt(self, a: int) -> int:
-        return self.inv[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -77,7 +71,9 @@ class CosetSpace:
 
     Coset 0 is the subgroup itself with the identity as representative; the
     other cosets are ordered (and represented) by their smallest element, so
-    every downstream construction is reproducible.
+    every downstream construction is reproducible.  ``action[g][c]`` is the
+    index of g * (coset c); it is derived from the other fields and so takes
+    no part in equality or hashing.
     """
 
     parent: FiniteGroup
@@ -85,17 +81,15 @@ class CosetSpace:
     reps: tuple[int, ...]
     elt_to_coset: tuple[int, ...]
     is_normal: bool
+    action: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def num_cosets(self) -> int:
         return len(self.reps)
 
-    def coset_of(self, g: int) -> int:
-        return self.elt_to_coset[g]
-
     def act(self, g: int, coset: int) -> int:
         """Index of g * (coset)."""
-        return self.elt_to_coset[self.parent.mul[g][self.reps[coset]]]
+        return self.action[g][coset]
 
     def coset_name(self, coset: int) -> str:
         rep = self.reps[coset]
@@ -223,6 +217,7 @@ def coset_space(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
         reps=tuple(reps),
         elt_to_coset=tuple(elt_to_coset),
         is_normal=normal,
+        action=tuple(tuple([elt_to_coset[row[r]] for r in reps]) for row in group.mul),
     )
 
 

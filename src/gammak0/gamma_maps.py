@@ -1,20 +1,20 @@
 """Equivariant linear maps between simplicial groups and their integer kernels.
 
-A map is stored by the images of the basis vectors.  Applying it to an
-element uses the canonical group-ring lifts of the coordinates; the columns
-being fixed by the source stabilizer makes the result independent of the
-lift.  Kernels are computed exactly by flattening to an integer matrix and
-extracting a lattice basis by normal form.
+A map is stored by the images of the basis vectors and by its flat integer
+matrix, whose column for basis vector i at coset c is column i translated by
+the coset representative; the columns being fixed by the source stabilizer
+makes that independent of the representative.  The matrix is built once, so
+applying a map is a sparse mat-vec.  Kernels are computed exactly from the
+same matrix by extracting a lattice basis by normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotEquivariant, ShapeMismatch
-from .group_ring import lift_vector
-from .ordered_simplicial import GammaVector, SimplicialGroup, unflatten
+from .ordered_simplicial import GammaVector, SimplicialGroup
 from . import intlinalg
 
 
@@ -23,6 +23,8 @@ class GammaLinearMap:
     source: SimplicialGroup
     target: SimplicialGroup
     columns: tuple[GammaVector, ...]
+    # column j of the flat matrix as (row, entry) pairs of its nonzero entries
+    matrix: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False)
 
     def __repr__(self) -> str:
         return f"GammaLinearMap({self.source.rank} -> {self.target.rank})"
@@ -33,7 +35,8 @@ def map_new(
     target: SimplicialGroup,
     columns: Sequence[GammaVector],
 ) -> GammaLinearMap:
-    """Validate shapes and source-stabilizer fixedness of the columns."""
+    """Validate shapes and source-stabilizer fixedness of the columns, then
+    build the flat matrix."""
     if source.space.parent != target.space.parent:
         raise ShapeMismatch("source and target over different groups")
     if len(columns) != source.rank:
@@ -47,7 +50,14 @@ def map_new(
                 raise NotEquivariant(
                     f"column {i} is not fixed by source stabilizer element {delta}"
                 )
-    return GammaLinearMap(source=source, target=target, columns=tuple(columns))
+    n, action = target.space.num_cosets, target.space.action
+    matrix = []
+    for col in columns:
+        nonzero = [(i - i % n, i % n, m) for i, m in enumerate(col.flat) if m]
+        for rep in source.space.reps:
+            row = action[rep]  # rep * col: entry m at (b, c) moves to (b, rep*c)
+            matrix.append(tuple((b + row[c], m) for b, c, m in nonzero))
+    return GammaLinearMap(source=source, target=target, columns=tuple(columns), matrix=tuple(matrix))
 
 
 def identity_map(group: SimplicialGroup) -> GammaLinearMap:
@@ -65,11 +75,12 @@ def is_positive_map(f: GammaLinearMap) -> bool:
 def map_apply(f: GammaLinearMap, v: GammaVector) -> GammaVector:
     if v.group != f.source:
         raise ShapeMismatch("vector is not in the source group")
-    out = f.target.zero()
-    for coord, col in zip(v.coords, f.columns):
-        if not coord.is_zero():
-            out = out + lift_vector(coord) * col
-    return out
+    out = [0] * f.target.flat_dim()
+    for x, col in zip(v.flat, f.matrix):
+        if x:
+            for r, m in col:
+                out[r] += x * m
+    return GammaVector(f.target, tuple(out))
 
 
 def map_compose(g: GammaLinearMap, f: GammaLinearMap) -> GammaLinearMap:
@@ -81,15 +92,10 @@ def map_compose(g: GammaLinearMap, f: GammaLinearMap) -> GammaLinearMap:
 
 def map_matrix(f: GammaLinearMap) -> list[list[int]]:
     """Flattened integer matrix (target dim x source dim)."""
-    src, tgt = f.source, f.target
-    nc = src.space.num_cosets
-    cols = []
-    for i in range(src.rank):
-        col = f.columns[i]
-        for c in range(nc):
-            rep = src.space.reps[c]
-            cols.append(col.translate(rep).flatten())
-    rows = [[cols[j][r] for j in range(len(cols))] for r in range(tgt.flat_dim())]
+    rows = [[0] * f.source.flat_dim() for _ in range(f.target.flat_dim())]
+    for j, col in enumerate(f.matrix):
+        for r, m in col:
+            rows[r][j] = m
     return rows
 
 
@@ -103,7 +109,7 @@ def map_kernel(f: GammaLinearMap) -> list[GammaVector]:
     if src.flat_dim() == 0:
         return []
     basis = intlinalg.kernel_basis(map_matrix(f), src.flat_dim())
-    return [unflatten(src, row) for row in basis]
+    return [GammaVector(src, tuple(row)) for row in basis]
 
 
 def kernel_lattice(f: GammaLinearMap) -> list[list[int]]:

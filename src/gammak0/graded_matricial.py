@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .errors import DeltaMismatch
 from .finite_group import CosetSpace
-from .group_ring import CosetVector
 from .ordered_simplicial import GammaVector, SimplicialGroup
 
 
@@ -104,8 +103,8 @@ def k0_of_matricial(ring: MatricialRingDesc) -> K0Data:
     left cosets of the inverted shifts."""
     space = ring.space
     group = SimplicialGroup(space, ring.num_components)
-    coords = [CosetVector(space, right_coset_counts(space, comp)) for comp in ring.components]
-    return K0Data(group=group, unit_class=GammaVector(group, tuple(coords)))
+    flat = tuple(m for comp in ring.components for m in right_coset_counts(space, comp))
+    return K0Data(group=group, unit_class=GammaVector(group, flat))
 
 
 def component_key(space: CosetSpace, comp: MatricialComponent) -> tuple[int, tuple[int, ...]]:
@@ -147,11 +146,11 @@ def corner_descriptor(space: CosetSpace, classes: GammaVector) -> MatricialRingD
     """
     G = space.parent
     comps = []
-    for c in classes.coords:
-        if not c.is_positive():
-            raise ValueError("projective classes must be nonnegative")
+    if not classes.is_positive():
+        raise ValueError("projective classes must be nonnegative")
+    for i in range(classes.group.rank):
         shifts: list[int] = []
-        for coset, mult in enumerate(c.coeffs):
+        for coset, mult in enumerate(classes.coord(i)):
             shifts.extend([G.inv[space.reps[coset]]] * mult)
         if shifts:
             comps.append(MatricialComponent(size=len(shifts), shifts=tuple(shifts)))

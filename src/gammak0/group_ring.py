@@ -192,9 +192,10 @@ class CosetVector:
     def translate(self, g: int) -> "CosetVector":
         """Image under the action of the single group element g."""
         out = [0] * self.space.num_cosets
+        row = self.space.action[g]
         for c, k in enumerate(self.coeffs):
             if k:
-                out[self.space.act(g, c)] += k
+                out[row[c]] += k
         return CosetVector(self.space, out)
 
     def __rmul__(self, other):
@@ -255,12 +256,12 @@ def act(a: GroupRingElt, v: CosetVector) -> CosetVector:
     if a.group != v.space.parent:
         raise GroupMismatch("element and vector over different groups")
     out = [0] * v.space.num_cosets
-    space = v.space
     for g, k in a.coeffs.items():
+        row = v.space.action[g]
         for c, vc in enumerate(v.coeffs):
             if vc:
-                out[space.act(g, c)] += k * vc
-    return CosetVector(space, out)
+                out[row[c]] += k * vc
+    return CosetVector(v.space, out)
 
 
 def lift_vector(v: CosetVector) -> GroupRingElt:

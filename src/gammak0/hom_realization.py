@@ -150,8 +150,7 @@ def hom_realizable(
     for j in range(target.num_components):
         available = _slot_classes(target, j)
         for i, comp in enumerate(source.components):
-            multiplicities = matrix.columns[i].coords[j]
-            for coset, mult in enumerate(multiplicities.coeffs):
+            for coset, mult in enumerate(matrix.columns[i].coord(j)):
                 for _ in range(mult):
                     slot_map = []
                     for gk in comp.shifts:
@@ -207,7 +206,7 @@ def verify_hom_spec(spec: HomSpec) -> bool:
         for j in range(spec.target.num_components):
             got = sorted(demanded.get((i, j), []))
             want = []
-            for coset, mult in enumerate(spec.matrix.columns[i].coords[j].coeffs):
+            for coset, mult in enumerate(spec.matrix.columns[i].coord(j)):
                 want.extend([coset] * mult)
             if got != want:
                 return False

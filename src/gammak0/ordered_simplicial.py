@@ -2,8 +2,9 @@
 
 A ``SimplicialGroup`` of rank n over a coset space is the ordered module
 whose elements are n-tuples of coset vectors and whose cone is coordinatewise
-nonnegativity.  Equality of elements is equality of the projected coordinate
-classes, which makes this representation canonical.
+nonnegativity.  An element is stored as one flat tuple of ``rank * cosets``
+integers, coordinate i at positions ``i*cosets .. i*cosets + cosets - 1``,
+which makes equality canonical and every operation one pass over the tuple.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, NotInCone, PreorderViolated, ShapeMismatch, SumMismatch
+from .errors import GroupMismatch, IndexOutOfRange, NotInCone, PreorderViolated, ShapeMismatch, SumMismatch
 from .finite_group import CosetSpace, Subgroup
-from .group_ring import CosetVector, GroupRingElt, act, lift_vector
+from .group_ring import CosetVector, GroupRingElt
 from . import intlinalg
 
 
@@ -28,16 +29,14 @@ class SimplicialGroup:
             raise ValueError("rank must be nonnegative")
 
     def zero(self) -> "GammaVector":
-        return GammaVector(self, tuple(CosetVector.zero(self.space) for _ in range(self.rank)))
+        return GammaVector(self, (0,) * self.flat_dim())
 
     def basis_vector(self, i: int) -> "GammaVector":
         if i < 0 or i >= self.rank:
             raise IndexOutOfRange(f"basis index {i} out of range for rank {self.rank}")
-        coords = tuple(
-            CosetVector.basis(self.space, 0) if j == i else CosetVector.zero(self.space)
-            for j in range(self.rank)
-        )
-        return GammaVector(self, coords)
+        flat = [0] * self.flat_dim()
+        flat[i * self.space.num_cosets] = 1
+        return GammaVector(self, tuple(flat))
 
     def basis(self) -> list["GammaVector"]:
         return [self.basis_vector(i) for i in range(self.rank)]
@@ -45,23 +44,22 @@ class SimplicialGroup:
     def element(self, coords: Sequence[CosetVector | Sequence[int]]) -> "GammaVector":
         if len(coords) != self.rank:
             raise ShapeMismatch("coordinate count does not match rank")
-        vecs = []
+        flat: list[int] = []
         for c in coords:
             if isinstance(c, CosetVector):
                 if c.space != self.space:
                     raise ShapeMismatch("coordinate over a different coset space")
-                vecs.append(c)
-            else:
-                vecs.append(CosetVector(self.space, c))
-        return GammaVector(self, tuple(vecs))
-
-    def contains(self, v: "GammaVector") -> bool:
-        return v.group == self
+                c = c.coeffs
+            vals = [int(x) for x in c]
+            if len(vals) != self.space.num_cosets:
+                raise ValueError("coefficient length does not match number of cosets")
+            flat.extend(vals)
+        return GammaVector(self, tuple(flat))
 
     def cone_contains(self, v: "GammaVector") -> bool:
         if v.group != self:
             raise ShapeMismatch("vector belongs to a different group")
-        return all(c.is_positive() for c in v.coords)
+        return v.is_positive()
 
     def flat_dim(self) -> int:
         return self.rank * self.space.num_cosets
@@ -71,19 +69,27 @@ class SimplicialGroup:
 
 
 class GammaVector:
-    """Element of a simplicial group, stored by coordinate coset classes."""
+    """Element of a simplicial group, stored as one flat tuple of ints.
 
-    __slots__ = ("group", "coords")
+    The constructor trusts its arguments; ``SimplicialGroup.element``
+    validates input from outside the engine.
+    """
 
-    def __init__(self, group: SimplicialGroup, coords: Sequence[CosetVector]):
-        coords = tuple(coords)
-        if len(coords) != group.rank:
-            raise ShapeMismatch("coordinate count does not match rank")
-        for c in coords:
-            if c.space != group.space:
-                raise ShapeMismatch("coordinate over a different coset space")
+    __slots__ = ("group", "flat")
+
+    def __init__(self, group: SimplicialGroup, flat: tuple[int, ...]):
         self.group = group
-        self.coords = coords
+        self.flat = flat
+
+    def coord(self, i: int) -> tuple[int, ...]:
+        """Coefficients of coordinate i, a slice of ``flat``."""
+        n = self.group.space.num_cosets
+        return self.flat[i * n : i * n + n]
+
+    @property
+    def coords(self) -> tuple[CosetVector, ...]:
+        """The coordinates as coset vectors; a derived view."""
+        return tuple(CosetVector(self.group.space, self.coord(i)) for i in range(self.group.rank))
 
     def _check(self, other: "GammaVector") -> None:
         if not isinstance(other, GammaVector) or self.group != other.group:
@@ -91,77 +97,71 @@ class GammaVector:
 
     def __add__(self, other: "GammaVector") -> "GammaVector":
         self._check(other)
-        return GammaVector(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return GammaVector(self.group, tuple(a + b for a, b in zip(self.flat, other.flat)))
 
     def __sub__(self, other: "GammaVector") -> "GammaVector":
         self._check(other)
-        return GammaVector(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return GammaVector(self.group, tuple(a - b for a, b in zip(self.flat, other.flat)))
 
     def __neg__(self) -> "GammaVector":
-        return GammaVector(self.group, tuple(-a for a in self.coords))
+        return GammaVector(self.group, tuple(-a for a in self.flat))
 
     def scale(self, k: int) -> "GammaVector":
-        return GammaVector(self.group, tuple(a.scale(k) for a in self.coords))
+        return GammaVector(self.group, tuple(k * a for a in self.flat))
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, GroupRingElt):
-            return GammaVector(self.group, tuple(act(other, c) for c in self.coords))
+            if other.group != self.group.space.parent:
+                raise GroupMismatch("element and vector over different groups")
+            out = [0] * len(self.flat)
+            for g, k in other.coeffs.items():
+                out = [o + k * a for o, a in zip(out, self._moved(g))]
+            return GammaVector(self.group, tuple(out))
         return NotImplemented
 
+    def _moved(self, g: int) -> list[int]:
+        """Entries of g*self: position (i, g*c) gathers position (i, c)."""
+        space = self.group.space
+        back = space.action[space.parent.inv[g]]
+        flat = self.flat
+        return [flat[b + c] for b in range(0, len(flat), len(back)) for c in back]
+
     def translate(self, g: int) -> "GammaVector":
-        return GammaVector(self.group, tuple(c.translate(g) for c in self.coords))
+        """Image under the action of the single group element g."""
+        return GammaVector(self.group, tuple(self._moved(g)))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.flat)
 
     def is_positive(self) -> bool:
-        return all(c.is_positive() for c in self.coords)
+        return all(a >= 0 for a in self.flat)
 
     def positive_part(self) -> "GammaVector":
-        return GammaVector(self.group, tuple(c.positive_part() for c in self.coords))
+        return GammaVector(self.group, tuple(a if a > 0 else 0 for a in self.flat))
 
     def negative_part(self) -> "GammaVector":
-        return GammaVector(self.group, tuple(c.negative_part() for c in self.coords))
+        return GammaVector(self.group, tuple(-a if a < 0 else 0 for a in self.flat))
 
     def max_abs_coeff(self) -> int:
-        return max((c.max_abs_coeff() for c in self.coords), default=0)
+        return max(map(abs, self.flat), default=0)
 
     def flatten(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for c in self.coords:
-            out.extend(c.coeffs)
-        return tuple(out)
-
-    def lifts(self) -> list[GroupRingElt]:
-        """Canonical (possibly signed) group-ring lifts of the coordinates."""
-        return [lift_vector(c) for c in self.coords]
+        return self.flat
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GammaVector)
+            and self.flat == other.flat
             and self.group == other.group
-            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash(tuple(c.coeffs for c in self.coords))
+        return hash(self.flat)
 
     def __repr__(self) -> str:
-        return "GammaVector(" + ", ".join(repr(c.coeffs) for c in self.coords) + ")"
-
-
-def unflatten(group: SimplicialGroup, flat: Sequence[int]) -> GammaVector:
-    nc = group.space.num_cosets
-    if len(flat) != group.rank * nc:
-        raise ShapeMismatch("flat length does not match group dimensions")
-    coords = [CosetVector(group.space, flat[i * nc : (i + 1) * nc]) for i in range(group.rank)]
-    return GammaVector(group, coords)
-
-
-def cone_contains(group: SimplicialGroup, v: GammaVector) -> bool:
-    return group.cone_contains(v)
+        return "GammaVector(" + ", ".join(repr(self.coord(i)) for i in range(self.group.rank)) + ")"
 
 
 def leq(x: GammaVector, y: GammaVector) -> bool:
@@ -178,27 +178,19 @@ def is_order_unit(group: SimplicialGroup, u: GammaVector) -> bool:
     """
     if not group.cone_contains(u):
         raise NotInCone("order-unit candidates must lie in the cone")
-    return all(not c.is_zero() for c in u.coords)
+    return all(any(u.coord(i)) for i in range(group.rank))
 
 
 def dominating_coefficient(u: GammaVector, x: GammaVector) -> GroupRingElt:
     """Some a in the positive group-ring cone with x <= a*u, for an order unit u."""
     if x.group != u.group:
         raise ShapeMismatch("vectors in different groups")
-    k = max(
-        (max(c.coeffs) for c in x.coords if c.coeffs),
-        default=0,
-    )
-    k = max(k, 0)
-    a = GroupRingElt.all_ones(u.group.space.parent).scale(k)
-    return a
+    k = max(max(x.flat, default=0), 0)
+    return GroupRingElt.all_ones(u.group.space.parent).scale(k)
 
 
 def _slotwise(x: GammaVector, y: GammaVector, fn) -> GammaVector:
-    coords = []
-    for cx, cy in zip(x.coords, y.coords):
-        coords.append(CosetVector(cx.space, tuple(fn(a, b) for a, b in zip(cx.coeffs, cy.coeffs))))
-    return GammaVector(x.group, coords)
+    return GammaVector(x.group, tuple(map(fn, x.flat, y.flat)))
 
 
 def interpolate(group: SimplicialGroup, lower: Iterable[GammaVector], upper: Iterable[GammaVector]) -> GammaVector:
@@ -258,15 +250,15 @@ class IdealSplit:
     def include(self, v: GammaVector) -> GammaVector:
         """Embed an ideal element into the ambient group."""
         amb = SimplicialGroup(self.ideal.space, len(self.ideal_indices) + len(self.quotient_indices))
-        coords = [CosetVector.zero(amb.space) for _ in range(amb.rank)]
+        n = amb.space.num_cosets
+        flat = [0] * amb.flat_dim()
         for k, i in enumerate(self.ideal_indices):
-            coords[i] = v.coords[k]
-        return GammaVector(amb, coords)
+            flat[i * n : i * n + n] = v.coord(k)
+        return GammaVector(amb, tuple(flat))
 
     def project(self, v: GammaVector) -> GammaVector:
         """Project an ambient element onto the quotient coordinates."""
-        coords = [v.coords[i] for i in self.quotient_indices]
-        return GammaVector(self.quotient, coords)
+        return GammaVector(self.quotient, tuple(a for i in self.quotient_indices for a in v.coord(i)))
 
 
 def ideal_from_subset(group: SimplicialGroup, subset: Iterable[int]) -> IdealSplit:
@@ -297,15 +289,15 @@ def is_gamma_ideal(group: SimplicialGroup, generators: Iterable[GammaVector]) ->
     rows = []
     for g in gens:
         for gamma in group.space.parent.elements():
-            rows.append(list(g.translate(gamma).flatten()))
+            rows.append(list(g.translate(gamma).flat))
     lat = intlinalg.hnf(rows, width)
     supported = set()
     for i in range(group.rank):
-        if intlinalg.lattice_contains(lat, group.basis_vector(i).flatten()):
+        if intlinalg.lattice_contains(lat, group.basis_vector(i).flat):
             supported.add(i)
     for g in gens:
-        for i, c in enumerate(g.coords):
-            if not c.is_zero() and i not in supported:
+        for i in range(group.rank):
+            if any(g.coord(i)) and i not in supported:
                 return False
     return True
 
@@ -326,8 +318,4 @@ def group_stabilizer(group: SimplicialGroup) -> Subgroup:
 def enumerate_interval(u: GammaVector) -> list[GammaVector]:
     """All cone elements below u; the box is finite since slots are bounded."""
     group = u.group
-    slots = u.flatten()
-    out = []
-    for combo in product(*(range(s + 1) for s in slots)):
-        out.append(unflatten(group, combo))
-    return out
+    return [GammaVector(group, combo) for combo in product(*(range(s + 1) for s in u.flat))]

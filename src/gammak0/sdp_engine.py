@@ -170,7 +170,7 @@ def search_unperforation_witness_m1(
             f"search space {b_count * max(1, group.rank) * y_count} exceeds "
             f"budget {budget}; reduce the instance or raise the budget"
         )
-    targets = [list(c.coeffs) for c in x.coords]
+    targets = [x.coord(i) for i in range(group.rank)]
     for b_coeffs in product(range(-bound, bound + 1), repeat=G.order):
         b = GroupRingElt(G, dict(enumerate(b_coeffs)))
         if not project_pi(a * b, space).is_positive():

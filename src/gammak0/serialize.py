@@ -26,7 +26,9 @@ from .shen import ShenFactorization
 PROBLEM_KINDS = ("group", "simplicial", "relation", "tower", "ring", "hom", "extension")
 
 
-def _need(payload: dict, key: str, context: str) -> Any:
+def _need(payload: Any, key: str, context: str) -> Any:
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{context}: expected an object with key {key!r}")
     if key not in payload:
         raise SchemaError(f"{context}: missing key {key!r}")
     return payload[key]
@@ -117,16 +119,14 @@ def vector_from_json(group: SimplicialGroup, data: Any, context: str = "vector")
         data = [data]
     if len(data) != group.rank:
         raise SchemaError(f"{context}: expected {group.rank} coordinates")
-    coords = []
     for row in data:
         if not isinstance(row, list) or len(row) != nc or not all(_is_int(x) for x in row):
             raise SchemaError(f"{context}: each coordinate needs {nc} integers")
-        coords.append(CosetVector(group.space, row))
-    return GammaVector(group, coords)
+    return GammaVector(group, tuple(x for row in data for x in row))
 
 
 def vector_to_json(v: GammaVector) -> list:
-    return [list(c.coeffs) for c in v.coords]
+    return [list(v.coord(i)) for i in range(v.group.rank)]
 
 
 def ring_elt_from_json(group: FiniteGroup, data: Any, context: str = "coefficient") -> GroupRingElt:
@@ -215,7 +215,9 @@ def tower_from_json(payload: dict) -> Tower:
         if not isinstance(units_data, list) or len(units_data) != len(groups):
             raise SchemaError("tower: one unit per level required")
         units = [vector_from_json(g, u, context="tower unit") for g, u in zip(groups, units_data)]
-    repeat_last = bool(payload.get("repeat_last", False))
+    repeat_last = payload.get("repeat_last", False)
+    if not isinstance(repeat_last, bool):
+        raise SchemaError("tower: repeat_last must be true or false")
     try:
         return tower_new(groups, maps, units=units, mode=mode, repeat_last=repeat_last)
     except ValueError as exc:

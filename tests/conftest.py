@@ -11,6 +11,7 @@ import pytest
 
 from gammak0 import (
     CosetSpace,
+    CosetVector,
     FiniteGroup,
     GammaVector,
     GroupRingElt,
@@ -146,3 +147,12 @@ def simplicial_over(group: FiniteGroup, delta_gens: list[int], rank: int) -> Sim
 
 def trivial_space(group: FiniteGroup) -> CosetSpace:
     return coset_space(group, trivial_subgroup(group))
+
+
+def translate_reference(v: CosetVector, g: int) -> CosetVector:
+    """g * v computed from the multiplication table and the coset labels alone."""
+    space = v.space
+    out = [0] * space.num_cosets
+    for c, k in enumerate(v.coeffs):
+        out[space.elt_to_coset[space.parent.mul[g][space.reps[c]]]] += k
+    return CosetVector(space, out)

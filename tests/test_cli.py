@@ -1,17 +1,22 @@
 """Command-line front end: subcommands, exit codes, certificates, determinism."""
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gammak0
 
 from gammak0.cli import main
 from gammak0 import (
+    FiniteGroup,
     cyclic_group,
     dihedral_group,
     verify_sdp_witness,
@@ -245,6 +250,19 @@ def test_ext_sdp_command(tmp_path):
     assert main(["ext-sdp-witness", path]) == 0
 
 
+def test_unwritable_cert_path_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "s.json", "simplicial", simplicial_payload())
+    assert main(["--cert", str(tmp_path / "missing" / "cert.json"), "check-simplicial", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_directory_as_problem_path_exits_2(tmp_path, capsys):
+    assert main(["check-simplicial", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_schema_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -265,8 +283,13 @@ def test_schema_errors_exit_2(tmp_path, capsys):
             {"group": z2_payload(), "delta_gens": [], "components": [{"size": 1, "shifts": ["x"]}]},
         ),
         ("check-simplicial", "simplicial", simplicial_payload(rank=True)),
+        ("shen", "hom", {"source": 3, "target": simplicial_payload(), "columns": [[[1, 0]]]}),
+        ("sdp-witness", "relation", {"simplicial": 7, "coeffs": [], "vectors": []}),
+        ("colimit-eq", "tower", {"group": 5, "delta_gens": [], "ranks": [1], "maps": []}),
+        ("extend", "tower", dict(tower_payload(), repeat_last="no")),
     ],
-    ids=["delta_gens_str", "shifts_str", "rank_bool"],
+    ids=["delta_gens_str", "shifts_str", "rank_bool", "source_number", "simplicial_number",
+         "group_number", "repeat_last_str"],
 )
 def test_non_integer_fields_exit_2(tmp_path, capsys, command, kind, payload):
     path = write(tmp_path, "p.json", kind, payload)
@@ -391,6 +414,20 @@ def test_cert_file_equals_json_stdout(tmp_path, capsys, flags, command, files, e
     assert cert.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
+@pytest.mark.parametrize("flags, command, files, extra, code", CLI_CASES.values(), ids=CLI_CASES.keys())
+def test_json_output_names_no_element(tmp_path, capsys, monkeypatch, flags, command, files, extra, code):
+    """Under --json the text report, and with it every element name, is never built."""
+    paths = [write(tmp_path, f"{n}.json", kind, payload) for n, (kind, payload) in enumerate(files)]
+    argv = ["--json", *flags, command, *paths, *extra]
+    assert main(argv) == code
+    expected = capsys.readouterr().out
+    named = []
+    monkeypatch.setattr(FiniteGroup, "name_of", lambda group, g: named.append(g) or str(g))
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected
+    assert named == []
+
+
 def test_m1_cert_is_the_bare_witness(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     found = write(
@@ -481,3 +518,58 @@ def test_tower_units_without_mode_is_schema_error(tmp_path):
     payload["mode"] = "none"
     path = write(tmp_path, "t.json", "tower", payload)
     assert main(["realize-tower", path]) == 2
+
+
+# Integers stay small. A matricial component stores one shift per diagonal
+# slot, so realize-tower allocates as many slots as a unit has mass, and the
+# box enumerations of the engine have no budget yet; a large integer would
+# only measure that growth, not the loaders.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(-2, 2, allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(value, path=()):
+    """Positions inside a JSON value, as tuples of keys and indices.
+
+    Only the first element of each list is visited: the loaders read the
+    elements of one list alike.
+    """
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value[:1]) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def replace_at(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = replace_at(value[path[0]], path[1:], new)
+    return out
+
+
+@pytest.mark.parametrize("flags, command, files, extra, code", CLI_CASES.values(), ids=CLI_CASES.keys())
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(value=JSON_VALUES, as_json=st.booleans())
+def test_fuzzed_field_ends_in_an_exit_code(flags, command, files, extra, code, value, as_json):
+    """Each field of a valid problem in turn replaced by a small JSON value:
+    exit 0, 1 or 2, never a raise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = str(Path(tmp) / "cert.json")
+        for which, (kind, payload) in enumerate(files):
+            for path in json_paths(payload):
+                docs = [(k, replace_at(p, path, value) if n == which else p) for n, (k, p) in enumerate(files)]
+                paths = [write(Path(tmp), f"{n}.json", k, p) for n, (k, p) in enumerate(docs)]
+                argv = [*(["--json"] if as_json else []), "--cert", cert, *flags, command, *paths, *extra]
+                with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+                    assert main(argv) in (0, 1, 2), (which, path)

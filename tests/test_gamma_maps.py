@@ -5,14 +5,18 @@ import random
 import pytest
 
 from gammak0 import (
+    CosetVector,
     NotEquivariant,
+    SimplicialGroup,
     ShapeMismatch,
+    act,
     cyclic_group,
     dihedral_group,
     identity_map,
     intlinalg,
     is_positive_map,
     kernel_lattice,
+    lift_vector,
     map_apply,
     map_compose,
     map_kernel,
@@ -23,9 +27,12 @@ from gammak0 import (
 from conftest import (
     random_positive_map,
     random_ring_elt,
+    random_space,
     random_vector,
     simplicial_over,
     small_groups,
+    translate_reference,
+    trivial_space,
 )
 
 
@@ -163,3 +170,33 @@ def test_kernel_lattice_is_canonical():
     f = map_new(G, G, [G.element([[1, 1]])])
     g2 = map_new(G, G, [G.element([[2, 2]])])
     assert kernel_lattice(f) == kernel_lattice(g2) == [[1, -1]]
+
+
+def test_flat_maps_match_coordinate_reference():
+    """map_apply and map_matrix agree with per-coordinate lifts and translates."""
+    rng = random.Random(59)
+    for g in small_groups():
+        for src_space in (trivial_space(g), random_space(rng, g), random_space(rng, g)):
+            tgt_space = random_space(rng, g)
+            for rs, rt in ((0, 1), (1, 0), (1, 1), (2, 3), (3, 2)):
+                src, tgt = SimplicialGroup(src_space, rs), SimplicialGroup(tgt_space, rt)
+                cols = []
+                for _ in range(rs):  # a signed column averaged over the source stabilizer
+                    w = random_vector(rng, tgt, max_coeff=2)
+                    col = tgt.zero()
+                    for delta in src_space.sub.members:
+                        col = col + w.translate(delta)
+                    cols.append(col)
+                f = map_new(src, tgt, cols)
+                v = random_vector(rng, src)
+                want = [CosetVector(tgt_space, [0] * tgt_space.num_cosets) for _ in range(rt)]
+                for coord, col in zip(v.coords, cols):
+                    lift = lift_vector(coord)
+                    want = [acc + act(lift, c) for acc, c in zip(want, col.coords)]
+                assert map_apply(f, v).coords == tuple(want)
+                matrix_cols = [
+                    [k for c in col.coords for k in translate_reference(c, rep).coeffs]
+                    for col in cols
+                    for rep in src_space.reps
+                ]
+                assert map_matrix(f) == [[col[r] for col in matrix_cols] for r in range(tgt.flat_dim())]

@@ -6,12 +6,14 @@ from itertools import product
 import pytest
 
 from gammak0 import (
+    CosetVector,
     GroupRingElt,
     IndexOutOfRange,
     NotInCone,
     PreorderViolated,
     SimplicialGroup,
     SumMismatch,
+    act,
     coset_space,
     cyclic_group,
     dihedral_group,
@@ -30,9 +32,13 @@ from gammak0 import (
 from conftest import (
     random_cone_vector,
     random_order_unit,
+    random_ring_elt,
+    random_space,
     random_vector,
     simplicial_over,
     small_groups,
+    translate_reference,
+    trivial_space,
 )
 
 
@@ -293,3 +299,35 @@ def test_interval_generates_cone():
                         ]
                         rebuilt = rebuilt + seed.translate(mover).scale(val)
             assert rebuilt == v
+
+
+def test_flat_vector_ops_match_coordinate_reference():
+    """Every operation on the flat tuple agrees with coordinatewise coset-vector arithmetic."""
+    rng = random.Random(53)
+    for g in small_groups():
+        for space in (trivial_space(g), random_space(rng, g), random_space(rng, g)):
+            n = space.num_cosets
+            for rank in range(4):
+                G = SimplicialGroup(space, rank)
+                rows_v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+                rows_w = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+                v, w = G.element(rows_v), G.element(rows_w)
+                cv = [CosetVector(space, row) for row in rows_v]
+                cw = [CosetVector(space, row) for row in rows_w]
+
+                def same(x, coords):
+                    assert x.coords == tuple(coords)
+                    assert x.flatten() == tuple(k for c in coords for k in c.coeffs)
+
+                same(v, cv)
+                assert G.element(v.coords) == v
+                same(v + w, [a + b for a, b in zip(cv, cw)])
+                same(v - w, [a - b for a, b in zip(cv, cw)])
+                same(-v, [-a for a in cv])
+                same(v.scale(-2), [a.scale(-2) for a in cv])
+                same(v.positive_part(), [a.positive_part() for a in cv])
+                same(v.negative_part(), [a.negative_part() for a in cv])
+                for h in g.elements():
+                    same(v.translate(h), [translate_reference(a, h) for a in cv])
+                coeff = random_ring_elt(rng, g)
+                same(coeff * v, [act(coeff, a) for a in cv])
