@@ -168,9 +168,10 @@ def _cmd_realize_tower(args) -> int:
     payload = io.load_problem(args.path, "tower")
     tower = io.tower_from_json(payload)
     realized = realize_tower(tower)
-    for spec in realized.specs:
-        if not verify_hom_spec(spec):
-            sys.stderr.write("spec failed certificate verification\n")
+    for n, spec in enumerate(realized.specs):
+        verdict = verify_hom_spec(spec)
+        if not verdict:
+            sys.stderr.write(f"spec {n} failed certificate verification: {verdict.reason}\n")
             return 2
     data = {
         "rings": [io.ring_to_json(r) for r in realized.rings],

@@ -27,6 +27,7 @@ from .graded_matricial import K0Data, MatricialComponent, MatricialRingDesc, k0_
 from .group_ring import GroupRingElt, lift_vector, project_pi
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit, leq
+from .sdp_engine import Verdict
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,12 @@ def hom_realizable(
     )
 
 
-def verify_hom_spec(spec: HomSpec) -> bool:
-    """Recheck a certificate: disjoint slots, matching classes, full matrix coverage."""
+def verify_hom_spec(spec: HomSpec) -> Verdict:
+    """Recheck a certificate: disjoint slots, matching classes, full matrix coverage.
+
+    A failing verdict names its clause: ``slot_count``, ``reused_slot``,
+    ``class_mismatch``, ``matrix_coverage`` or ``unital_coverage``.
+    """
     space = spec.source.space
     G = space.parent
     used: dict[int, set[int]] = {}
@@ -190,17 +195,17 @@ def verify_hom_spec(spec: HomSpec) -> bool:
         j, i = copy.target_component, copy.source_component
         comp = spec.source.components[i]
         if len(copy.slot_map) != comp.size:
-            return False
+            return Verdict(False, "slot_count")
         taken = used.setdefault(j, set())
         for gk, l in zip(comp.shifts, copy.slot_map):
             if l in taken:
-                return False
+                return Verdict(False, "reused_slot")
             taken.add(l)
             slot_shift = spec.target.components[j].shifts[l]
             slot_class = space.elt_to_coset[G.inv[slot_shift]]
             needed = space.elt_to_coset[G.mul[G.inv[gk]][space.reps[copy.twist_coset]]]
             if slot_class != needed:
-                return False
+                return Verdict(False, "class_mismatch")
         demanded.setdefault((i, j), []).append(copy.twist_coset)
     for i in range(spec.source.num_components):
         for j in range(spec.target.num_components):
@@ -209,13 +214,13 @@ def verify_hom_spec(spec: HomSpec) -> bool:
             for coset, mult in enumerate(spec.matrix.columns[i].coord(j)):
                 want.extend([coset] * mult)
             if got != want:
-                return False
+                return Verdict(False, "matrix_coverage")
     if spec.unital:
         for j in range(spec.target.num_components):
             covered = used.get(j, set())
             if len(covered) != spec.target.components[j].size:
-                return False
-    return True
+                return Verdict(False, "unital_coverage")
+    return Verdict(True)
 
 
 def k0_of_hom(spec: HomSpec) -> GammaLinearMap:

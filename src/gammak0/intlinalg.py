@@ -3,7 +3,16 @@
 Everything works on plain lists of Python ints, so arithmetic is exact at any
 size.  Lattices are represented by generating rows; the row-style Hermite
 normal form (positive pivots, entries above a pivot reduced into [0, pivot))
-is the canonical form used for membership and equality tests.
+is the canonical form used for membership and equality tests.  It is unique
+for its lattice, so any elimination that reaches it gives the same answer.
+
+The elimination is Euclid's algorithm on whole rows.  In each column the row
+whose entry there has the least absolute value becomes the pivot, and every
+row below it subtracts the floor quotient times the pivot row; that repeats
+until only the pivot is nonzero.  Every step subtracts one multiple of the
+current pivot row from another row, with a quotient no larger than the entry
+it clears, and no row is ever scaled, so entries do not compound the way
+they do when each 2x2 step rewrites the pivot row with Bezout cofactors.
 """
 
 from __future__ import annotations
@@ -11,50 +20,26 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def _hnf_inplace(mat: list[list[int]]) -> int:
     """Reduce ``mat`` to row HNF in place; returns the rank."""
-    if not mat:
-        return 0
-    ncols = len(mat[0])
     nrows = len(mat)
     row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        piv = None
-        for i in range(row, nrows):
-            if mat[i][col]:
-                piv = i
+    for col in range(len(mat[0]) if mat else 0):
+        while True:
+            live = [i for i in range(row, nrows) if mat[i][col]]
+            if not live:
                 break
-        if piv is None:
-            continue
-        if piv != row:
+            piv = min(live, key=lambda i: abs(mat[i][col]))
             mat[row], mat[piv] = mat[piv], mat[row]
-        for i in range(row + 1, nrows):
-            b = mat[i][col]
-            if b == 0:
-                continue
-            a = mat[row][col]
-            g, x, y = xgcd(a, b)
-            # unimodular 2x2 combination zeroing mat[i][col]
-            u, v = -(b // g), a // g
-            ri, rr = mat[i], mat[row]
-            new_r = [x * p + y * q for p, q in zip(rr, ri)]
-            new_i = [u * p + v * q for p, q in zip(rr, ri)]
-            mat[row], mat[i] = new_r, new_i
+            if len(live) == 1:
+                break
+            top = mat[row]
+            for i in range(row + 1, nrows):
+                q = mat[i][col] // top[col]
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], top)]
+        if not live:
+            continue
         if mat[row][col] < 0:
             mat[row] = [-v for v in mat[row]]
         pivval = mat[row][col]
@@ -74,15 +59,6 @@ def hnf(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
             raise ValueError("row width mismatch")
     rank = _hnf_inplace(mat)
     return mat[:rank]
-
-
-def lattice_rank(rows: Sequence[Sequence[int]], width: int) -> int:
-    return len(hnf(rows, width))
-
-
-def lattice_eq(rows_a: Sequence[Sequence[int]], rows_b: Sequence[Sequence[int]], width: int) -> bool:
-    """True when two generating sets span the same integer lattice."""
-    return hnf(rows_a, width) == hnf(rows_b, width)
 
 
 def lattice_contains(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:

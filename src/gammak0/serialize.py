@@ -140,6 +140,8 @@ def ring_elt_from_json(group: FiniteGroup, data: Any, context: str = "coefficien
         try:
             g = int(key)
         except ValueError:
+            g = None
+        if g is None or str(g) != key:  # canonical decimal only: no "01", " 1", "+1", "0_1"
             raise SchemaError(f"{context}: bad element index {key!r}")
         if not _is_int(val):
             raise SchemaError(f"{context}: bad coefficient {val!r}")

@@ -6,6 +6,7 @@ Randomness is always driven by explicit seeds so every run is reproducible.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -156,3 +157,20 @@ def translate_reference(v: CosetVector, g: int) -> CosetVector:
     for c, k in enumerate(v.coeffs):
         out[space.elt_to_coset[space.parent.mul[g][space.reps[c]]]] += k
     return CosetVector(space, out)
+
+
+def rational_rank(m: list[list[int]], ncols: int) -> int:
+    """Rank over the rationals by Gaussian elimination, independent of ``intlinalg``."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

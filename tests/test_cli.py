@@ -17,6 +17,7 @@ import gammak0
 from gammak0.cli import main
 from gammak0 import (
     FiniteGroup,
+    Verdict,
     cyclic_group,
     dihedral_group,
     verify_sdp_witness,
@@ -200,6 +201,13 @@ def test_realize_tower_command(tmp_path, capsys):
     assert "M1(1)" in out and "M2(1,x)" in out
 
 
+def test_realize_tower_names_the_failed_clause(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gammak0.cli, "verify_hom_spec", lambda spec: Verdict(False, "reused_slot"))
+    path = write(tmp_path, "t.json", "tower", tower_payload(mode="unit"))
+    assert main(["realize-tower", path]) == 2
+    assert capsys.readouterr().err == "spec 0 failed certificate verification: reused_slot\n"
+
+
 def test_extend_command(tmp_path, capsys):
     path = write(tmp_path, "t.json", "tower", tower_payload())
     assert main(["extend", path]) == 0
@@ -297,6 +305,15 @@ def test_non_integer_fields_exit_2(tmp_path, capsys, command, kind, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "0_1"])
+def test_non_canonical_element_key_exits_2(tmp_path, capsys, key):
+    # int() reads each of these as element 1; only the canonical "1" names it
+    payload = dict(perforated_payload(), a={"coeffs": {"0": 1, key: 1}})
+    path = write(tmp_path, "u.json", "relation", payload)
+    assert main(["unperf-witness", path]) == 2
+    assert capsys.readouterr().err == f"error: coefficient: bad element index {key!r}\n"
 
 
 def hom_payload(column):

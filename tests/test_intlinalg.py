@@ -1,27 +1,10 @@
 """Hermite form, kernel bases, and lattice predicates against brute checks."""
 
 import random
-from fractions import Fraction
 
-from gammak0.intlinalg import (
-    hnf,
-    kernel_basis,
-    lattice_contains,
-    lattice_eq,
-    lattice_rank,
-    xgcd,
-)
+from gammak0.intlinalg import hnf, kernel_basis, lattice_contains
 
-
-def test_xgcd():
-    rng = random.Random(1)
-    for _ in range(200):
-        a, b = rng.randint(-50, 50), rng.randint(-50, 50)
-        g, x, y = xgcd(a, b)
-        assert g == x * a + y * b
-        assert g >= 0
-        if a or b:
-            assert a % g == 0 and b % g == 0
+from conftest import rational_rank
 
 
 def test_hnf_shape_and_canonicity():
@@ -60,7 +43,7 @@ def test_kernel_basis_annihilates_and_is_complete():
                 sum(m[i][j] * vec[j] for j in range(ncols)) == 0 for i in range(nrows)
             )
         # nullity check over the rationals by Gaussian elimination
-        rank = _rational_rank(m, ncols)
+        rank = rational_rank(m, ncols)
         assert len(basis) == ncols - rank
         # random integer kernel vectors lie in the basis lattice
         lat = hnf(basis, ncols)
@@ -68,22 +51,6 @@ def test_kernel_basis_annihilates_and_is_complete():
             vec = [rng.randint(-4, 4) for _ in range(ncols)]
             if all(sum(m[i][j] * vec[j] for j in range(ncols)) == 0 for i in range(nrows)):
                 assert lattice_contains(lat, vec)
-
-
-def _rational_rank(m, ncols):
-    rows = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def test_lattice_membership_divisibility():
@@ -95,10 +62,10 @@ def test_lattice_membership_divisibility():
 
 
 def test_lattice_eq_and_rank():
-    assert lattice_eq([[1, 1]], [[-1, -1]], 2)
-    assert lattice_eq([[2, 0], [0, 2]], [[2, 2], [0, 2]], 2)
-    assert not lattice_eq([[1, 0]], [[2, 0]], 2)
-    assert lattice_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 3) == 2
+    assert hnf([[1, 1]], 2) == hnf([[-1, -1]], 2)
+    assert hnf([[2, 0], [0, 2]], 2) == hnf([[2, 2], [0, 2]], 2)
+    assert hnf([[1, 0]], 2) != hnf([[2, 0]], 2)
+    assert len(hnf([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 3)) == 2
 
 
 def test_hnf_invariant_under_unimodular_operations():

@@ -1,0 +1,57 @@
+"""Hermite forms and kernel bases against sympy as an independent oracle.
+
+sympy's ``hermite_normal_form`` is column-style, so the comparison is between
+lattices: the columns of sympy's form of the transpose must span the same
+lattice as our rows, which the canonical row HNF decides.
+"""
+
+from functools import reduce
+from math import gcd, lcm
+
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
+
+from gammak0.intlinalg import hnf, kernel_basis, lattice_contains
+
+ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=7):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_hnf_spans_the_lattice_of_sympys_form(case):
+    rows, width = case
+    h = hermite_normal_form(Matrix(len(rows), width, sum(rows, [])).T)
+    columns = [[int(x) for x in h.col(j)] for j in range(h.cols)]
+    ours = hnf(rows, width)
+    assert len(ours) == h.cols
+    assert hnf(columns, width) == ours
+
+
+def _primitive(vec) -> list[int]:
+    scale = reduce(lcm, (x.q for x in vec), 1)
+    ints = [int(x * scale) for x in vec]
+    g = reduce(gcd, ints, 0)
+    return [x // g for x in ints]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_kernel_basis_is_the_saturated_rational_nullspace(case):
+    m, ncols = case
+    basis = kernel_basis(m, ncols)
+    for vec in basis:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
+    sm = Matrix(len(m), ncols, sum(m, []))
+    assert len(basis) == ncols - sm.rank()
+    lat = hnf(basis, ncols)
+    for vec in sm.nullspace():
+        assert lattice_contains(lat, _primitive(vec))

@@ -1,10 +1,12 @@
 """Cross-cutting invariants that tie the layers together."""
 
 import random
+from dataclasses import replace
 
 from gammak0 import (
     CopyEmbedding,
     HomSpec,
+    Verdict,
     coset_space,
     cyclic_group,
     dihedral_group,
@@ -50,7 +52,7 @@ def test_verify_hom_spec_rejects_tampering():
     S = realize_simplicial(G, G.element([[2, 1]])).ring
     B = map_new(G, G, [G.element([[2, 1]])])
     spec = hom_realizable(R, S, B, unital=True)
-    assert verify_hom_spec(spec)
+    assert verify_hom_spec(spec) == Verdict(True)
 
     # send a copy to a slot of the wrong class
     bad_cert = list(spec.certificate)
@@ -68,7 +70,7 @@ def test_verify_hom_spec_rejects_tampering():
         unital=spec.unital,
         certificate=tuple(bad_cert),
     )
-    assert not verify_hom_spec(tampered)
+    assert verify_hom_spec(tampered) == Verdict(False, "class_mismatch")
 
     # drop a copy: the matrix coverage check fails
     dropped = HomSpec(
@@ -78,7 +80,7 @@ def test_verify_hom_spec_rejects_tampering():
         unital=False,
         certificate=spec.certificate[1:],
     )
-    assert not verify_hom_spec(dropped)
+    assert verify_hom_spec(dropped) == Verdict(False, "matrix_coverage")
 
     # duplicate a slot: injectivity fails
     doubled = HomSpec(
@@ -88,7 +90,23 @@ def test_verify_hom_spec_rejects_tampering():
         unital=spec.unital,
         certificate=(spec.certificate[0],) + spec.certificate[:2],
     )
-    assert not verify_hom_spec(doubled)
+    assert verify_hom_spec(doubled) == Verdict(False, "reused_slot")
+
+    # give a copy one slot too many for its component
+    widened = HomSpec(
+        source=spec.source,
+        target=spec.target,
+        matrix=spec.matrix,
+        unital=spec.unital,
+        certificate=(replace(first, slot_map=first.slot_map + (1,)),) + spec.certificate[1:],
+    )
+    assert verify_hom_spec(widened) == Verdict(False, "slot_count")
+
+    # claim unitality for a map that leaves a slot of the target uncovered
+    partial = hom_realizable(R, S, map_new(G, G, [G.element([[1, 1]])]), unital=False)
+    assert verify_hom_spec(partial)
+    overclaimed = replace(partial, unital=True)
+    assert verify_hom_spec(overclaimed) == Verdict(False, "unital_coverage")
 
 
 def test_class_group_rank_ignores_matrix_sizes():
