@@ -44,33 +44,24 @@ from .finite_group import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    full_subgroup,
     group_from_table,
     klein_four_group,
     normal_closure,
     subgroup_closure,
-    subgroup_from_members,
     trivial_subgroup,
 )
 from .group_ring import (
     CosetVector,
     GroupRingElt,
     act,
-    is_positive,
     lift_vector,
     project_pi,
-    ring_mul,
 )
 from .ordered_simplicial import (
     GammaVector,
-    IdealSplit,
     SimplicialGroup,
-    dominating_coefficient,
-    enumerate_interval,
     group_stabilizer,
-    ideal_from_subset,
     interpolate,
-    is_gamma_ideal,
     is_order_unit,
     leq,
     riesz_refine,
@@ -83,10 +74,8 @@ from .gamma_maps import (
     kernels_equal,
     map_apply,
     map_compose,
-    map_kernel,
     map_matrix,
     map_new,
-    zero_map,
 )
 from .sdp_engine import (
     SdpWitness,
@@ -104,17 +93,13 @@ from .limits import (
     ColimitElt,
     Tower,
     colimit_eq,
-    colimit_interval_contains,
     colimit_positive,
-    constant_tower,
     tower_new,
 )
 from .graded_matricial import (
     K0Data,
     MatricialComponent,
     MatricialRingDesc,
-    component_matching,
-    corner_descriptor,
     graded_iso,
     homog_dim,
     k0_of_matricial,
@@ -136,9 +121,6 @@ from .extension import (
     ExtElt,
     ExtendedGroup,
     ExtendedTower,
-    ext_dominating_coefficient,
-    ext_interval_preimage,
-    ext_order_unit_check,
     ext_sdp_witness,
     extend_tower,
 )

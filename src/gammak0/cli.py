@@ -19,7 +19,6 @@ from pathlib import Path
 from . import serialize as io
 from .errors import EngineError
 from .extension import ext_sdp_witness, extend_tower
-from .gamma_maps import map_apply
 from .graded_matricial import graded_iso, homog_dim, k0_of_matricial
 from .hom_realization import realize_simplicial, realize_tower, verify_hom_spec
 from .limits import colimit_eq

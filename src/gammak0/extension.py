@@ -24,12 +24,7 @@ from .errors import (
 from .gamma_maps import map_apply
 from .group_ring import CosetVector, GroupRingElt, lift_vector
 from .limits import Tower
-from .ordered_simplicial import (
-    GammaVector,
-    SimplicialGroup,
-    dominating_coefficient,
-    is_order_unit,
-)
+from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit
 from .sdp_engine import SdpWitness, verify_sdp_witness
 
 
@@ -132,40 +127,6 @@ class ExtendedGroup:
         return shifted.is_positive()
 
 
-def ext_dominating_coefficient(ext: ExtendedGroup, e: ExtElt) -> GroupRingElt:
-    """Some c in the positive cone with e <= c * (0, identity coset)."""
-    a = lift_vector(e.t.positive_part())
-    b = dominating_coefficient(ext.unit, e.x)
-    return a + b
-
-
-def ext_order_unit_check(ext: ExtendedGroup, probes: Sequence[ExtElt]) -> bool:
-    """Verify that (0, identity coset) dominates every probe, exactly."""
-    unit = ext.order_unit()
-    for e in probes:
-        c = ext_dominating_coefficient(ext, e)
-        if not ext.cone_contains(c * unit - e):
-            return False
-    return True
-
-
-def ext_interval_preimage(ext: ExtendedGroup) -> list[GammaVector]:
-    """Base elements whose injection lands in [0, (0, identity coset)].
-
-    Enumerated through the extension-cone test; the test suite checks the
-    result against the direct box enumeration of [0, unit].
-    """
-    from .ordered_simplicial import enumerate_interval
-
-    unit = ext.order_unit()
-    out = []
-    for v in enumerate_interval(ext.unit):
-        e = ext.inject(v)
-        if ext.cone_contains(e) and ext.cone_contains(unit - e):
-            out.append(v)
-    return out
-
-
 def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequence[ExtElt]) -> SdpWitness:
     """Decomposition witness for a zero relation among extension cone elements.
 
@@ -216,9 +177,6 @@ class ExtendedTower:
             raise ShapeMismatch("element not at the stated level")
         nxt = self.levels[level + 1] if level + 1 < len(self.levels) else self.levels[-1]
         return ExtElt(nxt, map_apply(self.base.map_at(level), e.x), e.t)
-
-    def unit_at(self, level: int) -> ExtElt:
-        return self.levels[level].order_unit()
 
 
 def extend_tower(tower: Tower) -> ExtendedTower:

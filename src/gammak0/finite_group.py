@@ -91,11 +91,6 @@ class CosetSpace:
         """Index of g * (coset)."""
         return self.action[g][coset]
 
-    def coset_name(self, coset: int) -> str:
-        rep = self.reps[coset]
-        base = self.parent.name_of(rep)
-        return f"{base}.D" if coset else "D"
-
     def __repr__(self) -> str:
         return f"CosetSpace(|G|={self.parent.order}, |D|={self.sub.order}, cosets={self.num_cosets})"
 
@@ -176,21 +171,6 @@ def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(parent=group, members=tuple(sorted(members)))
 
 
-def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Build a subgroup from an explicit member set, verifying closure."""
-    mem = sorted(set(members))
-    mem_set = set(mem)
-    if group.identity not in mem_set:
-        raise ValueError("member set does not contain the identity")
-    for a in mem:
-        if group.inv[a] not in mem_set:
-            raise ValueError("member set not closed under inverses")
-        for b in mem:
-            if group.mul[a][b] not in mem_set:
-                raise ValueError("member set not closed under products")
-    return Subgroup(parent=group, members=tuple(mem))
-
-
 def coset_space(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
     """Enumerate the left cosets of ``sub`` in ``group``."""
     if sub.parent != group:
@@ -238,10 +218,6 @@ def normal_closure(group: FiniteGroup, sub: Subgroup) -> Subgroup:
 
 def trivial_subgroup(group: FiniteGroup) -> Subgroup:
     return Subgroup(parent=group, members=(group.identity,))
-
-
-def full_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(parent=group, members=tuple(range(group.order)))
 
 
 # -- standard small groups ---------------------------------------------------

@@ -64,10 +64,6 @@ def identity_map(group: SimplicialGroup) -> GammaLinearMap:
     return map_new(group, group, group.basis())
 
 
-def zero_map(source: SimplicialGroup, target: SimplicialGroup) -> GammaLinearMap:
-    return map_new(source, target, [target.zero() for _ in range(source.rank)])
-
-
 def is_positive_map(f: GammaLinearMap) -> bool:
     return all(f.target.cone_contains(c) for c in f.columns)
 
@@ -97,19 +93,6 @@ def map_matrix(f: GammaLinearMap) -> list[list[int]]:
         for r, m in col:
             rows[r][j] = m
     return rows
-
-
-def map_kernel(f: GammaLinearMap) -> list[GammaVector]:
-    """Lattice basis of the kernel, returned as source elements.
-
-    A basis over the integers generates the kernel a fortiori as a module
-    over the group ring.
-    """
-    src = f.source
-    if src.flat_dim() == 0:
-        return []
-    basis = intlinalg.kernel_basis(map_matrix(f), src.flat_dim())
-    return [GammaVector(src, tuple(row)) for row in basis]
 
 
 def kernel_lattice(f: GammaLinearMap) -> list[list[int]]:

@@ -93,10 +93,6 @@ class K0Data:
     group: SimplicialGroup
     unit_class: GammaVector
 
-    @property
-    def basis_classes(self) -> tuple[GammaVector, ...]:
-        return tuple(self.group.basis())
-
 
 def k0_of_matricial(ring: MatricialRingDesc) -> K0Data:
     """Class data: one basis class per component; the unit class collects the
@@ -119,39 +115,3 @@ def graded_iso(r: MatricialRingDesc, s: MatricialRingDesc) -> bool:
     keys_r = sorted(component_key(r.space, c) for c in r.components)
     keys_s = sorted(component_key(s.space, c) for c in s.components)
     return keys_r == keys_s
-
-
-def component_matching(r: MatricialRingDesc, s: MatricialRingDesc) -> list[int] | None:
-    """A permutation matching components with equal keys, or None."""
-    if r.space != s.space:
-        raise DeltaMismatch("descriptors over different coset spaces")
-    remaining: dict[tuple, list[int]] = {}
-    for j, comp in enumerate(s.components):
-        remaining.setdefault(component_key(s.space, comp), []).append(j)
-    matching = []
-    for comp in r.components:
-        key = component_key(r.space, comp)
-        slots = remaining.get(key)
-        if not slots:
-            return None
-        matching.append(slots.pop(0))
-    return matching
-
-
-def corner_descriptor(space: CosetSpace, classes: GammaVector) -> MatricialRingDesc:
-    """Descriptor of the corner ring carried by a vector of projective classes.
-
-    Coordinate i with multiplicity m at coset c contributes m diagonal slots
-    whose shift is the inverse of the canonical coset representative.
-    """
-    G = space.parent
-    comps = []
-    if not classes.is_positive():
-        raise ValueError("projective classes must be nonnegative")
-    for i in range(classes.group.rank):
-        shifts: list[int] = []
-        for coset, mult in enumerate(classes.coord(i)):
-            shifts.extend([G.inv[space.reps[coset]]] * mult)
-        if shifts:
-            comps.append(MatricialComponent(size=len(shifts), shifts=tuple(shifts)))
-    return MatricialRingDesc(space=space, components=tuple(comps))

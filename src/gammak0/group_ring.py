@@ -48,10 +48,6 @@ class GroupRingElt:
     def basis(group: FiniteGroup, g: int) -> "GroupRingElt":
         return GroupRingElt(group, {g: 1})
 
-    @staticmethod
-    def all_ones(group: FiniteGroup) -> "GroupRingElt":
-        return GroupRingElt(group, {g: 1 for g in group.elements()})
-
     # -- queries --
 
     def coeff(self, g: int) -> int:
@@ -237,10 +233,6 @@ class CosetVector:
         return f"CosetVector{self.coeffs}"
 
 
-def ring_mul(a: GroupRingElt, b: GroupRingElt) -> GroupRingElt:
-    return a * b
-
-
 def project_pi(a: GroupRingElt, space: CosetSpace) -> CosetVector:
     """Coset-wise coefficient sums; the natural left module projection."""
     if a.group != space.parent:
@@ -270,8 +262,3 @@ def lift_vector(v: CosetVector) -> GroupRingElt:
     return GroupRingElt(
         space.parent, {space.reps[c]: k for c, k in enumerate(v.coeffs) if k}
     )
-
-
-def is_positive(x) -> bool:
-    """Cone membership for group-ring elements and coset vectors."""
-    return x.is_positive()

@@ -3,7 +3,7 @@
 Everything works on plain lists of Python ints, so arithmetic is exact at any
 size.  Lattices are represented by generating rows; the row-style Hermite
 normal form (positive pivots, entries above a pivot reduced into [0, pivot))
-is the canonical form used for membership and equality tests.  It is unique
+is the canonical form used for equality tests.  It is unique
 for its lattice, so any elimination that reaches it gives the same answer.
 
 The elimination is Euclid's algorithm on whole rows.  In each column the row
@@ -59,21 +59,6 @@ def hnf(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
             raise ValueError("row width mismatch")
     rank = _hnf_inplace(mat)
     return mat[:rank]
-
-
-def lattice_contains(hnf_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Membership of ``vec`` in the lattice given by HNF rows."""
-    v = list(vec)
-    for row in hnf_rows:
-        piv = next((c for c, val in enumerate(row) if val), None)
-        if piv is None:
-            continue
-        if v[piv] % row[piv] != 0:
-            return False
-        q = v[piv] // row[piv]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return all(a == 0 for a in v)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:

@@ -1,10 +1,10 @@
 """Sequential towers of simplicial groups and horizon-bounded colimit queries.
 
 A tower is a finite prefix of a directed sequence, optionally repeating its
-last map forever.  Colimit-level questions (equality, positivity, interval
-membership) are answered by pushing representatives forward up to a caller
-horizon; answers are tri-state because equality in a general colimit is only
-semi-decidable, and a negative answer always names the horizon it covers.
+last map forever.  Colimit-level questions (equality and positivity) are
+answered by pushing representatives forward up to a caller horizon; answers
+are tri-state because equality in a general colimit is only semi-decidable,
+and a negative answer always names the horizon it covers.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ class ColimitElt:
 
 @dataclass(frozen=True)
 class ColimitAnswer:
-    kind: str  # equal | not_equal_up_to | positive | not_positive_up_to |
-    #            in_interval | not_in_interval_up_to | unknown
+    kind: str  # equal | not_equal_up_to | positive | not_positive_up_to | unknown
     level: int | None = None
     reason: str = ""
 
     def __bool__(self) -> bool:
-        return self.kind in ("equal", "positive", "in_interval")
+        return self.kind in ("equal", "positive")
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,6 @@ class Tower:
         if not self.repeat_last:
             raise ShapeMismatch(f"map at level {level} beyond a non-repeating tower")
         return self.maps[-1]
-
-    def unit_at(self, level: int) -> GammaVector:
-        if self.units is None:
-            raise ValueError("tower carries no units")
-        if level < len(self.units):
-            return self.units[level]
-        if not self.repeat_last:
-            raise ShapeMismatch(f"unit at level {level} beyond a non-repeating tower")
-        u = self.units[-1]
-        for _ in range(level - (len(self.units) - 1)):
-            u = map_apply(self.maps[-1], u)
-        return u
 
     def push(self, p: ColimitElt, level: int) -> GammaVector:
         if level < p.level:
@@ -196,31 +183,3 @@ def colimit_positive(t: Tower, p: ColimitElt, horizon: int) -> ColimitAnswer:
         if level < h_max:
             v = map_apply(t.map_at(level), v)
     return ColimitAnswer(kind="not_positive_up_to", level=h_max)
-
-
-def colimit_interval_contains(t: Tower, p: ColimitElt, horizon: int) -> ColimitAnswer:
-    """Membership of the generating interval: some image lands in [0, unit]."""
-    if t.units is None:
-        raise ValueError("tower carries no units")
-    start = _start_levels(t, horizon, p)
-    if isinstance(start, ColimitAnswer):
-        return start
-    l0, h_max = start
-    v = t.push(p, l0)
-    for level in range(l0, h_max + 1):
-        if v.is_positive() and leq(v, t.unit_at(level)):
-            return ColimitAnswer(kind="in_interval", level=level)
-        if level < h_max:
-            v = map_apply(t.map_at(level), v)
-    return ColimitAnswer(kind="not_in_interval_up_to", level=h_max)
-
-
-def constant_tower(group: SimplicialGroup, length: int, unit: GammaVector | None = None) -> Tower:
-    """Identity tower of the given length; handy for tests and examples."""
-    from .gamma_maps import identity_map
-
-    groups = [group] * length
-    maps = [identity_map(group)] * (length - 1)
-    if unit is not None:
-        return tower_new(groups, maps, units=[unit] * length, mode="unit")
-    return tower_new(groups, maps)

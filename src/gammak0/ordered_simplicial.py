@@ -10,13 +10,11 @@ which makes equality canonical and every operation one pass over the tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import GroupMismatch, IndexOutOfRange, NotInCone, PreorderViolated, ShapeMismatch, SumMismatch
 from .finite_group import CosetSpace, Subgroup
 from .group_ring import CosetVector, GroupRingElt
-from . import intlinalg
 
 
 @dataclass(frozen=True)
@@ -181,14 +179,6 @@ def is_order_unit(group: SimplicialGroup, u: GammaVector) -> bool:
     return all(any(u.coord(i)) for i in range(group.rank))
 
 
-def dominating_coefficient(u: GammaVector, x: GammaVector) -> GroupRingElt:
-    """Some a in the positive group-ring cone with x <= a*u, for an order unit u."""
-    if x.group != u.group:
-        raise ShapeMismatch("vectors in different groups")
-    k = max(max(x.flat, default=0), 0)
-    return GroupRingElt.all_ones(u.group.space.parent).scale(k)
-
-
 def _slotwise(x: GammaVector, y: GammaVector, fn) -> GammaVector:
     return GammaVector(x.group, tuple(map(fn, x.flat, y.flat)))
 
@@ -238,70 +228,6 @@ def riesz_refine(
     return [[z11, z12], [z21, z22]]
 
 
-@dataclass(frozen=True)
-class IdealSplit:
-    """A coordinate ideal of a simplicial group and its complementary quotient."""
-
-    ideal: SimplicialGroup
-    quotient: SimplicialGroup
-    ideal_indices: tuple[int, ...]
-    quotient_indices: tuple[int, ...]
-
-    def include(self, v: GammaVector) -> GammaVector:
-        """Embed an ideal element into the ambient group."""
-        amb = SimplicialGroup(self.ideal.space, len(self.ideal_indices) + len(self.quotient_indices))
-        n = amb.space.num_cosets
-        flat = [0] * amb.flat_dim()
-        for k, i in enumerate(self.ideal_indices):
-            flat[i * n : i * n + n] = v.coord(k)
-        return GammaVector(amb, tuple(flat))
-
-    def project(self, v: GammaVector) -> GammaVector:
-        """Project an ambient element onto the quotient coordinates."""
-        return GammaVector(self.quotient, tuple(a for i in self.quotient_indices for a in v.coord(i)))
-
-
-def ideal_from_subset(group: SimplicialGroup, subset: Iterable[int]) -> IdealSplit:
-    idx = sorted(set(subset))
-    for i in idx:
-        if i < 0 or i >= group.rank:
-            raise IndexOutOfRange(f"basis index {i} out of range")
-    comp = tuple(i for i in range(group.rank) if i not in set(idx))
-    return IdealSplit(
-        ideal=SimplicialGroup(group.space, len(idx)),
-        quotient=SimplicialGroup(group.space, len(comp)),
-        ideal_indices=tuple(idx),
-        quotient_indices=comp,
-    )
-
-
-def is_gamma_ideal(group: SimplicialGroup, generators: Iterable[GammaVector]) -> bool:
-    """Decide whether the submodule generated by ``generators`` is spanned by basis elements.
-
-    The submodule is a coordinate ideal exactly when every generator is
-    supported on the set of coordinates whose basis vectors it contains.
-    """
-    gens = list(generators)
-    for g in gens:
-        if g.group != group:
-            raise ShapeMismatch("generator belongs to a different group")
-    width = group.flat_dim()
-    rows = []
-    for g in gens:
-        for gamma in group.space.parent.elements():
-            rows.append(list(g.translate(gamma).flat))
-    lat = intlinalg.hnf(rows, width)
-    supported = set()
-    for i in range(group.rank):
-        if intlinalg.lattice_contains(lat, group.basis_vector(i).flat):
-            supported.add(i)
-    for g in gens:
-        for i in range(group.rank):
-            if any(g.coord(i)) and i not in supported:
-                return False
-    return True
-
-
 def group_stabilizer(group: SimplicialGroup) -> Subgroup:
     """Elements acting as the identity on the whole module."""
     G = group.space.parent
@@ -313,9 +239,3 @@ def group_stabilizer(group: SimplicialGroup) -> Subgroup:
         if all(group.space.act(g, c) == c for c in range(group.space.num_cosets))
     ]
     return Subgroup(parent=G, members=tuple(sorted(members)))
-
-
-def enumerate_interval(u: GammaVector) -> list[GammaVector]:
-    """All cone elements below u; the box is finite since slots are bounded."""
-    group = u.group
-    return [GammaVector(group, combo) for combo in product(*(range(s + 1) for s in u.flat))]

@@ -105,12 +105,6 @@ def simplicial_from_json(payload: dict) -> SimplicialGroup:
     return SimplicialGroup(space, rank)
 
 
-def simplicial_to_json(group: SimplicialGroup) -> dict:
-    out = space_to_json(group.space)
-    out["rank"] = group.rank
-    return out
-
-
 def vector_from_json(group: SimplicialGroup, data: Any, context: str = "vector") -> GammaVector:
     if not isinstance(data, list):
         raise SchemaError(f"{context}: expected a list")
@@ -224,17 +218,6 @@ def tower_from_json(payload: dict) -> Tower:
         return tower_new(groups, maps, units=units, mode=mode, repeat_last=repeat_last)
     except ValueError as exc:
         raise SchemaError(f"tower: {exc}")
-
-
-def tower_to_json(t: Tower) -> dict:
-    out: dict[str, Any] = space_to_json(t.groups[0].space)
-    out["ranks"] = [g.rank for g in t.groups]
-    out["maps"] = [map_to_json(f) for f in t.maps]
-    out["mode"] = t.mode
-    if t.units is not None:
-        out["units"] = [vector_to_json(u) for u in t.units]
-    out["repeat_last"] = t.repeat_last
-    return out
 
 
 def colimit_elt_from_json(t: Tower, data: Any, context: str = "element") -> ColimitElt:

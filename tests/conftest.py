@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,10 +23,13 @@ from gammak0 import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    identity_map,
+    intlinalg,
     klein_four_group,
     map_new,
     normal_closure,
     subgroup_closure,
+    tower_new,
     trivial_subgroup,
 )
 
@@ -150,6 +154,123 @@ def trivial_space(group: FiniteGroup) -> CosetSpace:
     return coset_space(group, trivial_subgroup(group))
 
 
+def full_subgroup(group: FiniteGroup) -> Subgroup:
+    return Subgroup(parent=group, members=tuple(range(group.order)))
+
+
+def zero_map(source: SimplicialGroup, target: SimplicialGroup):
+    return map_new(source, target, [target.zero() for _ in range(source.rank)])
+
+
+def constant_tower(group: SimplicialGroup, length: int, unit: GammaVector | None = None):
+    """Identity tower of the given length, in unit mode when ``unit`` is given."""
+    groups = [group] * length
+    maps = [identity_map(group)] * (length - 1)
+    if unit is not None:
+        return tower_new(groups, maps, units=[unit] * length, mode="unit")
+    return tower_new(groups, maps)
+
+
+def z2_mult_tower(length=3, mode="interval"):
+    """Z[Z2] -(1+x)-> Z[Z2] -> ... with units 1, 1+x, (1+x)^2, ..."""
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    m = map_new(G, G, [G.element([[1, 1]])])
+    one_plus_x = GroupRingElt.one(Z2) + GroupRingElt.basis(Z2, 1)
+    units = [G.basis_vector(0)]
+    for _ in range(length - 1):
+        units.append(one_plus_x * units[-1])
+    return G, tower_new([G] * length, [m] * (length - 1), units=units, mode=mode)
+
+
+def unit_spreading_map(rng: random.Random, G: SimplicialGroup):
+    """Positive map whose columns all touch every coordinate, so order-units
+    push forward to order-units.  Columns are averaged over the stabilizer to
+    stay equivariant when it is not normal."""
+    cols = []
+    for _ in range(G.rank):
+        col = G.zero()
+        for i in range(G.rank):
+            k = rng.randint(1, 2)
+            g = rng.randrange(G.space.parent.order)
+            vec = G.basis_vector(i).translate(g).scale(k)
+            for delta in G.space.sub.members:
+                col = col + vec.translate(delta)
+        cols.append(col)
+    return map_new(G, G, cols)
+
+
+def random_zero_relation(rng: random.Random, G: SimplicialGroup, n_max=3, coeff_bound=2):
+    """Sample a genuine zero relation among cone elements.
+
+    The relation module of sampled cone vectors is computed exactly; a random
+    small combination of its basis gives the coefficients.
+    """
+    n = rng.randint(1, n_max)
+    xs = [random_cone_vector(rng, G, max_coeff=coeff_bound) for _ in range(n)]
+    group = G.space.parent
+    cols = []
+    for xi in xs:
+        for g in group.elements():
+            cols.append(xi.translate(g).flatten())
+    if G.flat_dim() == 0:
+        coeffs = [GroupRingElt.zero(group) for _ in range(n)]
+        return coeffs, xs
+    matrix = [[cols[j][r] for j in range(len(cols))] for r in range(G.flat_dim())]
+    basis = intlinalg.kernel_basis(matrix, n * group.order)
+    if not basis:
+        return [GroupRingElt.zero(group) for _ in range(n)], xs
+    combo = [0] * (n * group.order)
+    for _ in range(rng.randint(1, 3)):
+        row = rng.choice(basis)
+        c = rng.randint(-coeff_bound, coeff_bound)
+        combo = [a + c * b for a, b in zip(combo, row)]
+    coeffs = []
+    for i in range(n):
+        chunk = combo[i * group.order : (i + 1) * group.order]
+        coeffs.append(GroupRingElt(group, dict(enumerate(chunk))))
+    return coeffs, xs
+
+
+def relation_among(rng: random.Random, H, pairs):
+    """Exact integer relation among extension elements, or (None, None)."""
+    G = H.base
+    group = G.space.parent
+    nc = G.space.num_cosets
+    dim = G.flat_dim() + nc
+    cols = []
+    for e in pairs:
+        for g in group.elements():
+            te = e.translate(g)
+            cols.append(list(te.x.flatten()) + list(te.t.coeffs))
+    matrix = [[cols[j][r] for j in range(len(cols))] for r in range(dim)]
+    basis = intlinalg.kernel_basis(matrix, len(pairs) * group.order)
+    if not basis:
+        return None, None
+    combo = [0] * (len(pairs) * group.order)
+    for _ in range(rng.randint(1, 2)):
+        row = rng.choice(basis)
+        c = rng.randint(-2, 2)
+        combo = [p + c * q for p, q in zip(combo, row)]
+    coeffs = []
+    for i in range(len(pairs)):
+        chunk = combo[i * group.order : (i + 1) * group.order]
+        coeffs.append(GroupRingElt(group, dict(enumerate(chunk))))
+    return coeffs, pairs
+
+
+def interval_box(u: GammaVector) -> list[GammaVector]:
+    """Exhaustive oracle: every cone element below u, one per point of the box."""
+    return [GammaVector(u.group, combo) for combo in product(*(range(s + 1) for s in u.flat))]
+
+
+def dominating_coefficient(u: GammaVector, x: GammaVector) -> GroupRingElt:
+    """Some a in the positive group-ring cone with x <= a*u, for an order unit u."""
+    group = u.group.space.parent
+    k = max(max(x.flat, default=0), 0)
+    return GroupRingElt(group, dict.fromkeys(group.elements(), k))
+
+
 def translate_reference(v: CosetVector, g: int) -> CosetVector:
     """g * v computed from the multiplication table and the coset labels alone."""
     space = v.space
@@ -174,3 +295,18 @@ def rational_rank(m: list[list[int]], ncols: int) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def lattice_contains(hnf_rows: list[list[int]], vec) -> bool:
+    """Membership of ``vec`` in the lattice given by row-HNF rows."""
+    v = list(vec)
+    for row in hnf_rows:
+        piv = next((c for c, val in enumerate(row) if val), None)
+        if piv is None:
+            continue
+        if v[piv] % row[piv] != 0:
+            return False
+        q = v[piv] // row[piv]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return all(a == 0 for a in v)

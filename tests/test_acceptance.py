@@ -54,12 +54,12 @@ from conftest import (
     random_order_unit,
     random_positive_map,
     random_vector,
+    random_zero_relation,
+    relation_among,
     simplicial_over,
     small_groups,
+    unit_spreading_map,
 )
-from test_sdp_engine import random_zero_relation
-from test_extension import _relation_among
-from test_hom_realization import _unit_spreading_map
 
 
 def _report(num: int, detail: str, t0: float, limit: float | None = None) -> None:
@@ -202,7 +202,7 @@ def test_criterion_06_decomposition_witnesses():
             if not H.cone_contains(e):
                 e = H.element(x.positive_part(), t)
             pairs.append(e)
-        a, _ = _relation_among(rng, H, pairs)
+        a, _ = relation_among(rng, H, pairs)
         if a is None:
             continue
         w = ext_sdp_witness(H, a, pairs)
@@ -222,11 +222,11 @@ def test_criterion_07_functoriality():
         G = simplicial_over(g, [rng.randrange(g.order)], rng.randint(1, 2))
         unital = bool(count % 2)
         u1 = random_order_unit(rng, G, max_coeff=2)
-        B1 = _unit_spreading_map(rng, G)
+        B1 = unit_spreading_map(rng, G)
         u2 = map_apply(B1, u1)
         if not unital:
             u2 = u2 + random_order_unit(rng, G, max_coeff=1)
-        B2 = _unit_spreading_map(rng, G)
+        B2 = unit_spreading_map(rng, G)
         u3 = map_apply(B2, u2)
         if not unital:
             u3 = u3 + random_order_unit(rng, G, max_coeff=1)
@@ -253,7 +253,7 @@ def test_criterion_08_tower_realization():
         units = [random_order_unit(rng, G, max_coeff=2)]
         maps = []
         for _ in range(length - 1):
-            B = _unit_spreading_map(rng, G)
+            B = unit_spreading_map(rng, G)
             nxt = map_apply(B, units[-1])
             if mode == "interval":
                 nxt = nxt + random_order_unit(rng, G, max_coeff=1)

@@ -538,9 +538,8 @@ def test_tower_units_without_mode_is_schema_error(tmp_path):
 
 
 # Integers stay small. A matricial component stores one shift per diagonal
-# slot, so realize-tower allocates as many slots as a unit has mass, and the
-# box enumerations of the engine have no budget yet; a large integer would
-# only measure that growth, not the loaders.
+# slot, so realize-tower allocates as many slots as a unit has mass; a large
+# integer would only measure that growth, not the loaders.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()

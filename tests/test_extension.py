@@ -1,4 +1,4 @@
-"""Ordered extensions: cone, order-unit, interval preimage, witnesses, towers."""
+"""Ordered extensions: cone, order-unit, witnesses, towers."""
 
 import random
 
@@ -13,9 +13,6 @@ from gammak0 import (
     RelationNotZero,
     cyclic_group,
     dihedral_group,
-    enumerate_interval,
-    ext_interval_preimage,
-    ext_order_unit_check,
     ext_sdp_witness,
     extend_tower,
     lift_vector,
@@ -23,8 +20,14 @@ from gammak0 import (
     tower_new,
     verify_sdp_witness,
 )
-from conftest import random_order_unit, random_vector, simplicial_over
-from test_limits import z2_mult_tower
+from conftest import (
+    interval_box,
+    random_order_unit,
+    random_vector,
+    relation_among,
+    simplicial_over,
+    z2_mult_tower,
+)
 
 
 def z_over_z2():
@@ -78,7 +81,7 @@ def test_top_element_reduction_matches_exhaustive_quantifier():
     G = simplicial_over(Z2, [], 1)
     u = G.element([[2, 1]])
     H = ExtendedGroup(base=G, unit=u)
-    box = enumerate_interval(u)
+    box = interval_box(u)
     for _ in range(60):
         x = random_vector(rng, G)
         t = CosetVector(G.space, [rng.randint(0, 2), rng.randint(0, 2)])
@@ -89,39 +92,13 @@ def test_top_element_reduction_matches_exhaustive_quantifier():
         assert via_top == via_any
 
 
-def test_order_unit_dominates_probes():
-    rng = random.Random(115)
-    for g in (cyclic_group(2), dihedral_group(3)):
-        sub_gens = [] if g.order == 2 else [1]
-        G = simplicial_over(g, sub_gens, 2)
-        u = random_order_unit(rng, G, max_coeff=2)
-        H = ExtendedGroup(base=G, unit=u)
-        probes = [
-            H.element(
-                random_vector(rng, G, max_coeff=3),
-                [rng.randint(-2, 2) for _ in range(G.space.num_cosets)],
-            )
-            for _ in range(15)
-        ]
-        assert ext_order_unit_check(H, probes)
-
-
-def test_interval_preimage_is_the_box():
-    Z2 = cyclic_group(2)
-    G = simplicial_over(Z2, [], 1)
-    u = G.element([[1, 1]])
-    H = ExtendedGroup(base=G, unit=u)
-    # oracle: direct enumeration of [0, u]
-    box = sorted(enumerate_interval(u), key=lambda v: v.flatten())
-    pre = sorted(ext_interval_preimage(H), key=lambda v: v.flatten())
-    assert box == pre
-
-
 def test_interval_preimage_zero_base():
     Z2 = cyclic_group(2)
     G = simplicial_over(Z2, [], 0)
     H = ExtendedGroup(base=G, unit=G.zero())
-    assert ext_interval_preimage(H) == [G.zero()]
+    # the base is {0}, and 0 lies in [0, (0, identity coset)]
+    zero = H.inject(G.zero())
+    assert H.cone_contains(zero) and H.cone_contains(H.order_unit() - zero)
     # the extension of the zero group is the coset module itself
     assert H.cone_contains(H.element(G.zero(), [2, 1]))
     assert not H.cone_contains(H.element(G.zero(), [-1, 0]))
@@ -185,41 +162,12 @@ def test_ext_sdp_random_relations():
                 if not H.cone_contains(e):
                     e = H.element(x.positive_part(), t)
                 pairs.append(e)
-            a, _ = _relation_among(rng, H, pairs)
+            a, _ = relation_among(rng, H, pairs)
             if a is None:
                 continue
             w = ext_sdp_witness(H, a, pairs)
             check = verify_sdp_witness(H, a, pairs, w)
             assert check, check.reason
-
-
-def _relation_among(rng, H, pairs):
-    """Exact integer relation among extension elements, or (None, None)."""
-    from gammak0 import intlinalg
-
-    G = H.base
-    group = G.space.parent
-    nc = G.space.num_cosets
-    dim = G.flat_dim() + nc
-    cols = []
-    for e in pairs:
-        for g in group.elements():
-            te = e.translate(g)
-            cols.append(list(te.x.flatten()) + list(te.t.coeffs))
-    matrix = [[cols[j][r] for j in range(len(cols))] for r in range(dim)]
-    basis = intlinalg.kernel_basis(matrix, len(pairs) * group.order)
-    if not basis:
-        return None, None
-    combo = [0] * (len(pairs) * group.order)
-    for _ in range(rng.randint(1, 2)):
-        row = rng.choice(basis)
-        c = rng.randint(-2, 2)
-        combo = [p + c * q for p, q in zip(combo, row)]
-    coeffs = []
-    for i in range(len(pairs)):
-        chunk = combo[i * group.order : (i + 1) * group.order]
-        coeffs.append(GroupRingElt(group, dict(enumerate(chunk))))
-    return coeffs, pairs
 
 
 def test_extend_constant_tower():
@@ -231,7 +179,7 @@ def test_extend_constant_tower():
     t = tower_new([G, G], [identity_map(G)], units=[u, u], mode="interval")
     ext = extend_tower(t)
     assert len(ext.levels) == 2
-    assert ext.unit_at(0) == ext.levels[0].order_unit()
+    assert ext.map_apply(0, ext.levels[0].order_unit()) == ext.levels[1].order_unit()
 
 
 def test_extend_mult_tower_squares_commute():
@@ -252,7 +200,7 @@ def test_extend_mult_tower_squares_commute():
             )
     # extension maps carry the order-unit to the order-unit
     for n in range(len(t.maps)):
-        assert ext.map_apply(n, ext.unit_at(n)) == ext.unit_at(n + 1)
+        assert ext.map_apply(n, ext.levels[n].order_unit()) == ext.levels[n + 1].order_unit()
 
 
 def test_extend_rejects_non_normal():

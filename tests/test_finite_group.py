@@ -10,14 +10,12 @@ from gammak0 import (
     NotAssociative,
     coset_space,
     dihedral_group,
-    full_subgroup,
     group_from_table,
     normal_closure,
     subgroup_closure,
-    subgroup_from_members,
     trivial_subgroup,
 )
-from conftest import small_groups
+from conftest import full_subgroup, small_groups
 
 
 def test_z2_from_table():
@@ -86,15 +84,6 @@ def test_subgroup_closure_d3():
 def test_subgroup_closure_empty():
     for g in small_groups():
         assert subgroup_closure(g, []).members == (g.identity,)
-
-
-def test_subgroup_from_members_validates():
-    g = dihedral_group(3)
-    assert subgroup_from_members(g, [0, 3]).members == (0, 3)
-    with pytest.raises(ValueError):
-        subgroup_from_members(g, [0, 1])  # not closed: misses a^2
-    with pytest.raises(ValueError):
-        subgroup_from_members(g, [3])  # misses identity
 
 
 def test_coset_space_d3():

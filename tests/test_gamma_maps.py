@@ -6,6 +6,7 @@ import pytest
 
 from gammak0 import (
     CosetVector,
+    GammaVector,
     NotEquivariant,
     SimplicialGroup,
     ShapeMismatch,
@@ -19,12 +20,11 @@ from gammak0 import (
     lift_vector,
     map_apply,
     map_compose,
-    map_kernel,
     map_matrix,
     map_new,
-    zero_map,
 )
 from conftest import (
+    lattice_contains,
     random_positive_map,
     random_ring_elt,
     random_space,
@@ -34,6 +34,7 @@ from conftest import (
     small_groups,
     translate_reference,
     trivial_space,
+    zero_map,
 )
 
 
@@ -127,20 +128,16 @@ def test_kernel_of_projection_to_point():
     f = map_new(src, tgt, [tgt.basis_vector(0)])
     # oracle: integer kernel of the 1x2 matrix [[1, 1]]
     assert intlinalg.kernel_basis([[1, 1]], 2) == [[1, -1]]
-    ker = map_kernel(f)
-    assert len(ker) == 1
-    assert ker[0] == src.element([[1, -1]])
+    assert kernel_lattice(f) == [[1, -1]]
 
 
 def test_kernel_identity_and_zero():
     G = simplicial_over(cyclic_group(2), [], 1)
-    assert map_kernel(identity_map(G)) == []
-    ker = map_kernel(zero_map(G, G))
-    # the integer span of the kernel generators is the whole module
-    width = G.flat_dim()
+    assert kernel_lattice(identity_map(G)) == []
+    # the kernel of the zero map is the whole module
     full = intlinalg.hnf([list(G.basis_vector(0).translate(g).flatten())
-                          for g in G.space.parent.elements()], width)
-    assert intlinalg.hnf([list(v.flatten()) for v in ker], width) == full
+                          for g in G.space.parent.elements()], G.flat_dim())
+    assert kernel_lattice(zero_map(G, G)) == full
 
 
 def test_kernel_generators_map_to_zero_and_span():
@@ -150,20 +147,19 @@ def test_kernel_generators_map_to_zero_and_span():
         tgt = simplicial_over(g, [g.order - 1], 2)
         for _ in range(6):
             f = random_positive_map(rng, src, tgt)
-            ker = map_kernel(f)
-            for v in ker:
-                assert map_apply(f, v).is_zero()
+            lat = kernel_lattice(f)
+            for row in lat:
+                assert map_apply(f, GammaVector(src, tuple(row))).is_zero()
             # independent check: rank-nullity over the rationals
             width = src.flat_dim()
             mat = map_matrix(f)
             rank = rational_rank(mat, width)
-            assert len(ker) == width - rank
+            assert len(lat) == width - rank
             # spot-check completeness: random kernel vectors land in the lattice
-            lat = intlinalg.hnf([list(v.flatten()) for v in ker], width)
             for _ in range(5):
                 v = random_vector(rng, src)
                 if map_apply(f, v).is_zero():
-                    assert intlinalg.lattice_contains(lat, v.flatten())
+                    assert lattice_contains(lat, v.flatten())
 
 
 def test_kernel_lattice_is_canonical():

@@ -26,9 +26,11 @@ from gammak0 import (
     verify_hom_spec,
 )
 from conftest import (
+    constant_tower,
     random_order_unit,
     simplicial_over,
     small_groups,
+    unit_spreading_map,
 )
 
 
@@ -150,11 +152,11 @@ def test_hom_compose_functorial():
 def _random_realizable_pair(rng, G, unital: bool):
     """Units and specs built so that each image unit stays under the next unit."""
     u1 = random_order_unit(rng, G, max_coeff=2)
-    B1 = _unit_spreading_map(rng, G)
+    B1 = unit_spreading_map(rng, G)
     u2 = map_apply(B1, u1)
     if not unital:
         u2 = u2 + random_order_unit(rng, G, max_coeff=1)
-    B2 = _unit_spreading_map(rng, G)
+    B2 = unit_spreading_map(rng, G)
     u3 = map_apply(B2, u2)
     if not unital:
         u3 = u3 + random_order_unit(rng, G, max_coeff=1)
@@ -164,23 +166,6 @@ def _random_realizable_pair(rng, G, unital: bool):
     h1 = hom_realizable(R1, R2, B1, unital=unital)
     h2 = hom_realizable(R2, R3, B2, unital=unital)
     return h1, h2
-
-
-def _unit_spreading_map(rng, G):
-    """Positive map whose columns all touch every coordinate, so order-units
-    push forward to order-units.  Columns are averaged over the stabilizer to
-    stay equivariant when it is not normal."""
-    cols = []
-    for _ in range(G.rank):
-        col = G.zero()
-        for i in range(G.rank):
-            k = rng.randint(1, 2)
-            g = rng.randrange(G.space.parent.order)
-            vec = G.basis_vector(i).translate(g).scale(k)
-            for delta in G.space.sub.members:
-                col = col + vec.translate(delta)
-        cols.append(col)
-    return map_new(G, G, cols)
 
 
 def test_functoriality_random():
@@ -199,8 +184,6 @@ def test_realize_tower_constant():
     d3 = dihedral_group(3)
     G = simplicial_over(d3, [3], 1)
     u = G.basis_vector(0)
-    from gammak0 import constant_tower
-
     t = constant_tower(G, 3, unit=u)
     realized = realize_tower(t)
     assert all(
@@ -234,7 +217,7 @@ def test_realize_tower_random_modes():
                 units = [random_order_unit(rng, G, max_coeff=2)]
                 maps = []
                 for _ in range(length - 1):
-                    B = _unit_spreading_map(rng, G)
+                    B = unit_spreading_map(rng, G)
                     nxt = map_apply(B, units[-1])
                     if mode == "interval":
                         nxt = nxt + random_order_unit(rng, G, max_coeff=1)

@@ -1,10 +1,10 @@
-"""Hermite form, kernel bases, and lattice predicates against brute checks."""
+"""Hermite form, kernel bases, and the lattice-membership oracle against brute checks."""
 
 import random
 
-from gammak0.intlinalg import hnf, kernel_basis, lattice_contains
+from gammak0.intlinalg import hnf, kernel_basis
 
-from conftest import rational_rank
+from conftest import lattice_contains, rational_rank
 
 
 def test_hnf_shape_and_canonicity():
@@ -54,6 +54,7 @@ def test_kernel_basis_annihilates_and_is_complete():
 
 
 def test_lattice_membership_divisibility():
+    # checks the conftest oracle that the kernel-completeness tests rely on
     lat = hnf([[2, 0], [0, 3]], 2)
     assert lattice_contains(lat, [4, -3])
     assert not lattice_contains(lat, [1, 0])

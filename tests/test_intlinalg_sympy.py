@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from gammak0.intlinalg import hnf, kernel_basis, lattice_contains
+from gammak0.intlinalg import hnf, kernel_basis
+
+from conftest import lattice_contains
 
 ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
 

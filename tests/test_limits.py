@@ -1,4 +1,4 @@
-"""Towers, colimit equality/positivity/interval queries, and cone closure."""
+"""Towers, colimit equality and positivity queries, and cone closure."""
 
 import random
 
@@ -7,16 +7,12 @@ import pytest
 from gammak0 import (
     ColimitElt,
     DeltaMismatch,
-    GroupRingElt,
     NotPositiveMap,
     UnitNotPreserved,
     colimit_eq,
-    colimit_interval_contains,
     colimit_positive,
-    constant_tower,
     cyclic_group,
     dihedral_group,
-    dominating_coefficient,
     leq,
     map_apply,
     map_new,
@@ -25,26 +21,18 @@ from gammak0 import (
     verify_sdp_witness,
 )
 from conftest import (
+    constant_tower,
+    dominating_coefficient,
     random_positive_map,
     random_vector,
+    random_zero_relation,
     simplicial_over,
+    z2_mult_tower,
 )
-from test_sdp_engine import random_zero_relation
-
-
-def z2_mult_tower(length=3, mode="interval"):
-    """Z[Z2] -(1+x)-> Z[Z2] -> ... with units 1, 1+x, (1+x)^2, ..."""
-    Z2 = cyclic_group(2)
-    G = simplicial_over(Z2, [], 1)
-    m = map_new(G, G, [G.element([[1, 1]])])
-    one_plus_x = GroupRingElt.one(Z2) + GroupRingElt.basis(Z2, 1)
-    units = [G.basis_vector(0)]
-    for _ in range(length - 1):
-        units.append(one_plus_x * units[-1])
-    return G, tower_new([G] * length, [m] * (length - 1), units=units, mode=mode)
 
 
 def test_constant_tower_valid():
+    # identity maps make a tower with and without units
     G = simplicial_over(cyclic_group(2), [], 2)
     t = constant_tower(G, 3)
     assert len(t.groups) == 3
@@ -142,16 +130,6 @@ def test_colimit_positive():
     assert neg.kind == "not_positive_up_to" and neg.level == 2
 
 
-def test_colimit_interval():
-    G, t = z2_mult_tower()
-    # 1 - x is 0 at level 1, hence inside every interval
-    ans = colimit_interval_contains(t, ColimitElt(0, G.element([[1, -1]])), 2)
-    assert ans.kind == "in_interval"
-    # 5 * unit never fits under the unit at these levels
-    big = colimit_interval_contains(t, ColimitElt(0, G.element([[5, 0]])), 2)
-    assert big.kind == "not_in_interval_up_to"
-
-
 def test_colimit_cone_closure():
     rng = random.Random(81)
     G, t = z2_mult_tower()
@@ -178,8 +156,8 @@ def test_unit_mode_gives_unit_certificate():
     t = tower_new([G, G, G], [swap, swap], units=[u, u, u], mode="unit")
     for _ in range(10):
         p = ColimitElt(rng.randint(0, 2), random_vector(rng, G))
-        a = dominating_coefficient(t.unit_at(p.level), p.value)
-        assert leq(p.value, a * t.unit_at(p.level))
+        a = dominating_coefficient(t.units[p.level], p.value)
+        assert leq(p.value, a * t.units[p.level])
 
 
 def test_colimit_zero_relations_admit_witnesses():

@@ -1,4 +1,4 @@
-"""Cones, order-units, interpolation, refinement, ideals, and stabilizers."""
+"""Cones, order-units, interpolation, refinement, and stabilizers."""
 
 import random
 from itertools import product
@@ -8,7 +8,6 @@ import pytest
 from gammak0 import (
     CosetVector,
     GroupRingElt,
-    IndexOutOfRange,
     NotInCone,
     PreorderViolated,
     SimplicialGroup,
@@ -17,19 +16,17 @@ from gammak0 import (
     coset_space,
     cyclic_group,
     dihedral_group,
-    dominating_coefficient,
-    enumerate_interval,
-    full_subgroup,
     group_stabilizer,
-    ideal_from_subset,
     interpolate,
-    is_gamma_ideal,
     is_order_unit,
     leq,
     riesz_refine,
     subgroup_closure,
 )
 from conftest import (
+    dominating_coefficient,
+    full_subgroup,
+    interval_box,
     random_cone_vector,
     random_order_unit,
     random_ring_elt,
@@ -121,6 +118,7 @@ def test_order_unit_agrees_with_bounded_search():
 
 
 def test_dominating_coefficient_is_exact():
+    # checks the conftest oracle that the colimit unit test relies on
     rng = random.Random(39)
     for g in small_groups():
         G = simplicial_over(g, [], 2)
@@ -207,36 +205,6 @@ def test_riesz_refine_marginals_random():
             assert all(G.cone_contains(v) for row in z for v in row)
 
 
-def test_ideal_from_subset():
-    G = z2_rank(2)
-    split = ideal_from_subset(G, [0])
-    assert split.ideal.rank == 1
-    assert split.quotient.rank == 1
-    assert split.ideal_indices == (0,)
-    v = split.ideal.element([[1, 2]])
-    emb = split.include(v)
-    assert emb == G.element([[1, 2], [0, 0]])
-    assert split.project(G.element([[1, 2], [3, 4]])) == split.quotient.element([[3, 4]])
-
-    empty = ideal_from_subset(G, [])
-    assert empty.ideal.rank == 0 and empty.quotient.rank == 2
-    full = ideal_from_subset(G, [0, 1])
-    assert full.ideal.rank == 2 and full.quotient.rank == 0
-    with pytest.raises(IndexOutOfRange):
-        ideal_from_subset(G, [5])
-
-
-def test_is_gamma_ideal():
-    G = z2_rank(2)
-    e0, e1 = G.basis()
-    assert is_gamma_ideal(G, [e0])
-    assert is_gamma_ideal(G, [e0.translate(1)])  # translate generates the same ideal
-    assert is_gamma_ideal(G, [e0, e1])
-    assert is_gamma_ideal(G, [])
-    assert not is_gamma_ideal(G, [e0 + e1])
-    assert not is_gamma_ideal(G, [e0.scale(2)])
-
-
 def test_group_stabilizer_examples():
     d3 = dihedral_group(3)
     G = simplicial_over(d3, [3], 1)  # coset module of {1,b}
@@ -259,9 +227,10 @@ def test_stabilizer_contains_delta_iff_normal():
 
 
 def test_interval_is_directed_and_convex():
+    # checks the conftest box that the extension's exhaustive oracle walks
     G = z2_rank(1)
     u = G.element([[2, 1]])
-    box = enumerate_interval(u)
+    box = interval_box(u)
     assert len(box) == 3 * 2
     members = set(box)
     for x in box:

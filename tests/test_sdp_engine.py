@@ -19,7 +19,7 @@ from gammak0 import (
     verify_sdp_witness,
     verify_unperforation_witness,
 )
-from conftest import random_cone_vector, simplicial_over, small_groups
+from conftest import random_cone_vector, random_zero_relation, simplicial_over, small_groups
 
 
 def z2_setup():
@@ -27,40 +27,6 @@ def z2_setup():
     one = GroupRingElt.one(Z2)
     x = GroupRingElt.basis(Z2, 1)
     return Z2, one, x
-
-
-def random_zero_relation(rng, G, n_max=3, coeff_bound=2):
-    """Sample a genuine zero relation among cone elements.
-
-    The relation module of sampled cone vectors is computed exactly; a random
-    small combination of its basis gives the coefficients.
-    """
-    from gammak0 import intlinalg
-
-    n = rng.randint(1, n_max)
-    xs = [random_cone_vector(rng, G, max_coeff=coeff_bound) for _ in range(n)]
-    group = G.space.parent
-    cols = []
-    for xi in xs:
-        for g in group.elements():
-            cols.append(xi.translate(g).flatten())
-    if G.flat_dim() == 0:
-        coeffs = [GroupRingElt.zero(group) for _ in range(n)]
-        return coeffs, xs
-    matrix = [[cols[j][r] for j in range(len(cols))] for r in range(G.flat_dim())]
-    basis = intlinalg.kernel_basis(matrix, n * group.order)
-    if not basis:
-        return [GroupRingElt.zero(group) for _ in range(n)], xs
-    combo = [0] * (n * group.order)
-    for _ in range(rng.randint(1, 3)):
-        row = rng.choice(basis)
-        c = rng.randint(-coeff_bound, coeff_bound)
-        combo = [a + c * b for a, b in zip(combo, row)]
-    coeffs = []
-    for i in range(n):
-        chunk = combo[i * group.order : (i + 1) * group.order]
-        coeffs.append(GroupRingElt(group, dict(enumerate(chunk))))
-    return coeffs, xs
 
 
 def test_sdp_witness_spec_instance():

@@ -11,22 +11,21 @@ from gammak0 import (
     dihedral_group,
     identity_map,
     is_positive_map,
+    kernel_lattice,
     kernels_equal,
     map_apply,
     map_compose,
-    map_kernel,
     map_new,
     shen_step,
-    zero_map,
 )
-from conftest import random_positive_map, simplicial_over, small_groups
+from conftest import random_positive_map, simplicial_over, small_groups, zero_map
 
 
 def test_shen_multiplication_by_one_plus_x():
     Z2 = cyclic_group(2)
     G = simplicial_over(Z2, [], 1)
     g1 = map_new(G, G, [G.element([[1, 1]])])
-    assert map_kernel(g1) == [G.element([[1, -1]])]
+    assert kernel_lattice(g1) == [[1, -1]]
     fact = shen_step(g1)
     assert fact.middle.rank == 1
     assert fact.g12.columns == (G.element([[1, 1]]),)
