@@ -1,11 +1,12 @@
 """Command-line front end: load JSON problem files, run checks, emit certificates.
 
 Exit codes: 0 on success or a true answer, 1 on a false or refuted answer,
-2 on any input or validation error.  Reports are deterministic for a fixed
-input; pass --json for machine-readable output and --cert to write the
-certificate of the run, which is the --json output itself except under
-``unperf-witness --m1``.  The parser is built once per process, so ``main``
-may be called repeatedly.
+2 on any input or validation error, 3 on an internal error (an unexpected
+exception, reported on one line without a traceback).  Reports are
+deterministic for a fixed input; pass --json for machine-readable output and
+--cert to write the certificate of the run, which is the --json output itself
+except under ``unperf-witness --m1``.  The parser is built once per process,
+so ``main`` may be called repeatedly.
 """
 
 from __future__ import annotations
@@ -338,6 +339,9 @@ def main(argv=None) -> int:
     except (EngineError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a bug, not an answer: exit 1 would read as "false"
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -72,6 +72,12 @@ def group_from_json(payload: dict) -> FiniteGroup:
     if not isinstance(table, list) or len(table) != order:
         raise SchemaError("group: mul table size disagrees with order")
     names = payload.get("names")
+    if "names" in payload and not (
+        isinstance(names, list)
+        and all(isinstance(s, str) for s in names)
+        and len(set(names)) == len(names) == order
+    ):
+        raise SchemaError(f"group: names must be a list of {order} distinct strings")
     try:
         return group_from_table(table, names=names)
     except (ValueError, TypeError) as exc:

@@ -17,6 +17,9 @@ from gammak0 import (
     FiniteGroup,
     GammaVector,
     GroupRingElt,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
     SimplicialGroup,
     Subgroup,
     coset_space,
@@ -58,6 +61,46 @@ def small_groups() -> list[FiniteGroup]:
         dihedral_group(4),
         direct_product(cyclic_group(2), cyclic_group(4)),
     ]
+
+
+def reference_group_from_table(table) -> FiniteGroup:
+    """The cubic group-table check that Light's test replaced: every triple is
+    scanned in lexicographic order.  Oracle for ``group_from_table``."""
+    n = len(table)
+    if n == 0:
+        raise ValueError("empty table")
+    rows = []
+    for row in table:
+        if len(row) != n:
+            raise ValueError("table is not square")
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0 or x >= n:
+                raise ValueError(f"table entry {x!r} out of range")
+        rows.append(tuple(int(x) for x in row))
+    mul = tuple(rows)
+    identity = None
+    for e in range(n):
+        if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("table has no two-sided identity")
+    inv = []
+    for g in range(n):
+        gi = None
+        for h in range(n):
+            if mul[g][h] == identity and mul[h][g] == identity:
+                gi = h
+                break
+        if gi is None:
+            raise NoInverse(f"element {g} has no inverse")
+        inv.append(gi)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    return FiniteGroup(order=n, mul=mul, identity=identity, inv=tuple(inv))
 
 
 def random_subgroup(rng: random.Random, group: FiniteGroup) -> Subgroup:

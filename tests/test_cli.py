@@ -307,6 +307,36 @@ def test_non_integer_fields_exit_2(tmp_path, capsys, command, kind, payload):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "names",
+    ["ab", [1, None], ["e", "e"], ["1"], None],
+    ids=["string", "non_strings", "repeated", "short", "null"],
+)
+def test_bad_group_names_exit_2(tmp_path, capsys, names):
+    group = dict(z2_payload(), names=names)
+    path = write(tmp_path, "s.json", "simplicial", dict(simplicial_payload(), group=group))
+    assert main(["check-simplicial", path]) == 2
+    assert capsys.readouterr().err == "error: group: names must be a list of 2 distinct strings\n"
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def crash(group):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(gammak0.cli, "group_stabilizer", crash)
+    path = write(tmp_path, "s.json", "simplicial", simplicial_payload())
+    assert main(["check-simplicial", path]) == 3
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
+
+    def interrupt(group):
+        raise KeyboardInterrupt
+
+    # only Exception is caught: a BaseException such as a time budget still propagates
+    monkeypatch.setattr(gammak0.cli, "group_stabilizer", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check-simplicial", path])
+
+
 @pytest.mark.parametrize("key", ["01", " 1", "+1", "0_1"])
 def test_non_canonical_element_key_exits_2(tmp_path, capsys, key):
     # int() reads each of these as element 1; only the canonical "1" names it

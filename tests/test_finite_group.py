@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gammak0 import (
+    EngineError,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -15,7 +17,7 @@ from gammak0 import (
     subgroup_closure,
     trivial_subgroup,
 )
-from conftest import full_subgroup, small_groups
+from conftest import full_subgroup, reference_group_from_table, small_groups
 
 
 def test_z2_from_table():
@@ -56,8 +58,63 @@ def test_not_associative_table():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative) as exc:
         group_from_table(table)
+    # the lexicographically first bad triple: (1*1)*2 = 0*2 = 2, 1*(1*2) = 1*3 = 4
+    assert str(exc.value) == "(1*1)*2 != 1*(1*2)"
+
+
+GROUP_TABLES = [[list(row) for row in g.mul] for g in small_groups()]
+BAD_ENTRIES = [True, -1, 1.0, "0", None]
+
+
+@st.composite
+def tables(draw):
+    """Random tables, and relabelled ``small_groups()`` tables with at most one
+    perturbation: a changed or malformed entry, a row swap or a column swap."""
+    kind = draw(st.sampled_from(["random", "unital", "group", "entry", "bad_entry", "rows", "columns"]))
+    if kind in ("random", "unital"):
+        n = draw(st.integers(1, 5))
+        table = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+        if kind == "unital":  # element 0 is a two-sided identity, so the later axioms are reached
+            table[0] = list(range(n))
+            for g in range(n):
+                table[g][0] = g
+        return table
+    base = draw(st.sampled_from(GROUP_TABLES))
+    n = len(base)
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "entry":
+        table[i][j] = draw(st.integers(0, n - 1))
+    elif kind == "bad_entry":
+        table[i][j] = draw(st.sampled_from(BAD_ENTRIES + [n]))
+    elif kind == "rows":
+        table[i], table[j] = table[j], table[i]
+    elif kind == "columns":
+        for row in table:
+            row[i], row[j] = row[j], row[i]
+    return table
+
+
+def outcome(build, table):
+    try:
+        g = build(table)
+    except (ValueError, EngineError) as exc:
+        return type(exc), str(exc)
+    return g.mul, g.identity, g.inv
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(table=tables())
+# generators 1 and 2; only 1 breaks associativity, and 2 does not generate it
+@example(table=[[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+def test_table_check_matches_cubic_reference(table):
+    assert outcome(group_from_table, table) == outcome(reference_group_from_table, table)
 
 
 def test_malformed_tables():
