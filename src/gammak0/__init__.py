@@ -10,7 +10,6 @@ horizon-bounded colimit queries, and ordered extensions by a coset module.
 """
 
 from .errors import (
-    ClassMismatch,
     DeltaMismatch,
     DeltaNotNormal,
     EngineError,
@@ -50,13 +49,7 @@ from .finite_group import (
     subgroup_closure,
     trivial_subgroup,
 )
-from .group_ring import (
-    CosetVector,
-    GroupRingElt,
-    act,
-    lift_vector,
-    project_pi,
-)
+from .group_ring import GroupRingElt, lift_vector, project_pi
 from .ordered_simplicial import (
     GammaVector,
     SimplicialGroup,
@@ -118,7 +111,6 @@ from .hom_realization import (
     verify_hom_spec,
 )
 from .extension import (
-    ExtElt,
     ExtendedGroup,
     ExtendedTower,
     ext_sdp_witness,

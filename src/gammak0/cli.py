@@ -224,7 +224,7 @@ def _cmd_extend(args) -> int:
     ext = extend_tower(tower)
     data = {
         "levels": len(ext.levels),
-        "unit": io.ext_elt_to_json(ext.levels[0].order_unit()),
+        "unit": io.ext_elt_to_json(ext.levels[0], ext.levels[0].order_unit()),
         "squares_verified": True,
     }
     _emit(args, lambda: [f"extended {len(ext.levels)} levels; commuting squares verified"], data)
@@ -245,7 +245,7 @@ def _cmd_ext_sdp(args) -> int:
     if not check:
         sys.stderr.write(f"witness failed verification: {check.reason}\n")
         return 2
-    data = io.sdp_witness_to_json(w)
+    data = io.sdp_witness_to_json(w, ext)
     _emit(args, lambda: [f"extension decomposition witness with m={w.m}; verified"], data)
     return 0
 

@@ -100,10 +100,6 @@ class NotOrderUnit(EngineError):
     pass
 
 
-class ClassMismatch(EngineError):
-    pass
-
-
 class NotRealizable(EngineError):
     pass
 

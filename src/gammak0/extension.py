@@ -1,16 +1,24 @@
 """Ordered extension of a simplicial group by its coset module.
 
-The carrier is the direct sum of the base group and the coset module; a pair
-is positive when its coset part is nonnegative and adding that many copies
-of the top of the interval pushes the base part into the cone.  Since the
-interval [0, u] has top element u and positivity is monotone in the chosen
-interval element, the membership test collapses to the single check against
-u; the exhaustive quantifier is kept in the test suite as an oracle.
+The coset module is the rank-1 simplicial group over the coset space, so the
+extension of a rank-r base has the rank-(r+1) simplicial group as its
+``carrier``: the first r coordinates hold the base part x and the last holds
+the coset part t, and every element is a plain ``GammaVector`` of the carrier.
+Only the cone differs from the carrier's own: a pair is positive when its
+coset part is nonnegative and adding that many copies of the top of the
+interval pushes the base part into the cone.  Since the interval [0, u] has
+top element u and positivity is monotone in the chosen interval element, the
+membership test collapses to the single check against u; the exhaustive
+quantifier is kept in the test suite as an oracle.
+
+Extensions of one base by different units share one carrier, so their
+elements compare equal when their entries do: the unit fixes only the cone,
+and ``cone_contains`` is where it is applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -22,71 +30,17 @@ from .errors import (
     ShapeMismatch,
 )
 from .gamma_maps import map_apply
-from .group_ring import CosetVector, GroupRingElt, lift_vector
+from .group_ring import GroupRingElt, lift_vector
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit
 from .sdp_engine import SdpWitness, verify_sdp_witness
-
-
-class ExtElt:
-    """Pair (base part, coset part) in an extended group."""
-
-    __slots__ = ("ext", "x", "t")
-
-    def __init__(self, ext: "ExtendedGroup", x: GammaVector, t: CosetVector):
-        if x.group != ext.base:
-            raise ShapeMismatch("base part not in the base group")
-        if t.space != ext.base.space:
-            raise ShapeMismatch("coset part over a different coset space")
-        self.ext = ext
-        self.x = x
-        self.t = t
-
-    def _check(self, other: "ExtElt") -> None:
-        if not isinstance(other, ExtElt) or self.ext != other.ext:
-            raise ShapeMismatch("elements of different extensions")
-
-    def __add__(self, other: "ExtElt") -> "ExtElt":
-        self._check(other)
-        return ExtElt(self.ext, self.x + other.x, self.t + other.t)
-
-    def __sub__(self, other: "ExtElt") -> "ExtElt":
-        self._check(other)
-        return ExtElt(self.ext, self.x - other.x, self.t - other.t)
-
-    def __neg__(self) -> "ExtElt":
-        return ExtElt(self.ext, -self.x, -self.t)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, GroupRingElt)):
-            return ExtElt(self.ext, other * self.x, other * self.t)
-        return NotImplemented
-
-    def translate(self, g: int) -> "ExtElt":
-        return ExtElt(self.ext, self.x.translate(g), self.t.translate(g))
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.t.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtElt)
-            and self.ext == other.ext
-            and self.x == other.x
-            and self.t == other.t
-        )
-
-    def __hash__(self):
-        return hash((self.x, self.t))
-
-    def __repr__(self) -> str:
-        return f"ExtElt(x={self.x!r}, t={self.t.coeffs})"
 
 
 @dataclass(frozen=True)
 class ExtendedGroup:
     base: SimplicialGroup
     unit: GammaVector  # order-unit of the base; the interval is [0, unit]
+    carrier: SimplicialGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.base.space.is_normal:
@@ -95,39 +49,46 @@ class ExtendedGroup:
             raise ShapeMismatch("unit not in the base group")
         if not self.base.cone_contains(self.unit) or not is_order_unit(self.base, self.unit):
             raise NotOrderUnit("the interval top must be an order-unit of the base")
+        object.__setattr__(self, "carrier", SimplicialGroup(self.base.space, self.base.rank + 1))
 
     @property
     def space(self):
         return self.base.space
 
-    def element(self, x: GammaVector, t: CosetVector | Sequence[int]) -> ExtElt:
-        if not isinstance(t, CosetVector):
-            t = CosetVector(self.base.space, t)
-        return ExtElt(self, x, t)
+    def element(self, x: GammaVector, t: Sequence[int]) -> GammaVector:
+        if x.group != self.base:
+            raise ShapeMismatch("base part not in the base group")
+        t = tuple(int(k) for k in t)
+        if len(t) != self.space.num_cosets:
+            raise ShapeMismatch("coset part length does not match number of cosets")
+        return GammaVector(self.carrier, x.flat + t)
 
-    def zero(self) -> ExtElt:
-        return ExtElt(self, self.base.zero(), CosetVector.zero(self.base.space))
+    def split(self, e: GammaVector) -> tuple[GammaVector, tuple[int, ...]]:
+        """(base part, coset part) of a carrier vector."""
+        if e.group != self.carrier:
+            raise ShapeMismatch("element not in the extension carrier")
+        n = self.base.flat_dim()
+        return GammaVector(self.base, e.flat[:n]), e.flat[n:]
 
-    def order_unit(self) -> ExtElt:
+    def zero(self) -> GammaVector:
+        return self.carrier.zero()
+
+    def order_unit(self) -> GammaVector:
         """(0, identity coset): the distinguished order-unit of the extension."""
-        return ExtElt(self, self.base.zero(), CosetVector.basis(self.base.space, 0))
+        return self.carrier.basis_vector(self.base.rank)
 
-    def inject(self, x: GammaVector) -> ExtElt:
-        return ExtElt(self, x, CosetVector.zero(self.base.space))
+    def inject(self, x: GammaVector) -> GammaVector:
+        return self.element(x, (0,) * self.space.num_cosets)
 
-    def project(self, e: ExtElt) -> CosetVector:
-        return e.t
-
-    def cone_contains(self, e: ExtElt) -> bool:
-        if e.ext != self:
-            raise ShapeMismatch("element of a different extension")
-        if not e.t.is_positive():
+    def cone_contains(self, e: GammaVector) -> bool:
+        x, t = self.split(e)
+        if min(t, default=0) < 0:
             return False
-        shifted = e.x + lift_vector(e.t) * self.unit
+        shifted = x + lift_vector(self.space, t) * self.unit
         return shifted.is_positive()
 
 
-def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequence[ExtElt]) -> SdpWitness:
+def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequence[GammaVector]) -> SdpWitness:
     """Decomposition witness for a zero relation among extension cone elements.
 
     Targets are the injected base basis vectors plus the single element
@@ -149,15 +110,16 @@ def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequen
 
     base = ext.base
     m = base.rank
-    b_lifts = [lift_vector(e.t) for e in pairs]
     rows = []
-    for e, bi in zip(pairs, b_lifts):
-        shifted = e.x + bi * ext.unit
-        row = [lift_vector(c) for c in shifted.coords]
+    for e in pairs:
+        x, t = ext.split(e)
+        bi = lift_vector(base.space, t)
+        shifted = x + bi * ext.unit
+        row = [lift_vector(base.space, shifted.coord(i)) for i in range(m)]
         row.append(bi)
         rows.append(tuple(row))
     y = [ext.inject(v) for v in base.basis()]
-    y.append(ExtElt(ext, -ext.unit, CosetVector.basis(base.space, 0)))
+    y.append(ext.order_unit() - ext.inject(ext.unit))
     witness = SdpWitness(m=m + 1, b=tuple(rows), y=tuple(y))
     check = verify_sdp_witness(ext, a, pairs, witness)
     if not check:
@@ -172,11 +134,10 @@ class ExtendedTower:
     base: Tower
     levels: tuple[ExtendedGroup, ...]
 
-    def map_apply(self, level: int, e: ExtElt) -> ExtElt:
-        if e.ext != self.levels[level]:
-            raise ShapeMismatch("element not at the stated level")
+    def map_apply(self, level: int, e: GammaVector) -> GammaVector:
+        x, t = self.levels[level].split(e)
         nxt = self.levels[level + 1] if level + 1 < len(self.levels) else self.levels[-1]
-        return ExtElt(nxt, map_apply(self.base.map_at(level), e.x), e.t)
+        return nxt.element(map_apply(self.base.map_at(level), x), t)
 
 
 def extend_tower(tower: Tower) -> ExtendedTower:
@@ -192,14 +153,15 @@ def extend_tower(tower: Tower) -> ExtendedTower:
     ext = ExtendedTower(base=tower, levels=levels)
     for n, f in enumerate(tower.maps):
         lower, upper = levels[n], levels[n + 1]
-        space = lower.base.space
         for v in lower.base.basis():
             through = ext.map_apply(n, lower.inject(v))
             direct = upper.inject(map_apply(f, v))
             if through != direct:
                 raise InternalVerificationFailed("injection square does not commute")
-        for c in range(space.num_cosets):
-            e = ExtElt(lower, lower.base.zero(), CosetVector.basis(space, c))
-            if upper.project(ext.map_apply(n, e)) != lower.project(e):
+        nc = lower.space.num_cosets
+        for c in range(nc):
+            t = tuple(int(d == c) for d in range(nc))
+            e = lower.element(lower.base.zero(), t)
+            if upper.split(ext.map_apply(n, e))[1] != t:
                 raise InternalVerificationFailed("projection square does not commute")
-    return ExtendedTower(base=tower, levels=levels)
+    return ext

@@ -1,15 +1,17 @@
-"""Integral group rings, coset permutation modules, and the projection between them.
+"""Integral group rings and the projection onto a coset permutation module.
 
-``GroupRingElt`` is a sparse integer combination of group elements;
-``CosetVector`` is a dense integer vector indexed by the left cosets of a
-fixed subgroup.  ``project_pi`` sums coefficients coset-wise; it is the left
-module map that everything else in the engine is built on.  All coefficients
-are exact Python ints.
+``GroupRingElt`` is a sparse integer combination of group elements.  An
+element of the coset module Z[G/H] is a plain tuple of integers indexed by
+the left cosets of H; as a module it is the rank-1 ``SimplicialGroup`` over
+the coset space, which carries its arithmetic and group-ring action.
+``project_pi`` sums coefficients coset-wise; it is the left module map that
+everything else in the engine is built on, and ``lift_vector`` is its
+canonical section.  All coefficients are exact Python ints.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GroupMismatch
 from .finite_group import CosetSpace, FiniteGroup
@@ -50,9 +52,6 @@ class GroupRingElt:
 
     # -- queries --
 
-    def coeff(self, g: int) -> int:
-        return self.coeffs.get(g, 0)
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.coeffs.items())
 
@@ -61,9 +60,6 @@ class GroupRingElt:
 
     def is_positive(self) -> bool:
         return all(k >= 0 for k in self.coeffs.values())
-
-    def mass(self) -> int:
-        return sum(self.coeffs.values())
 
     def max_abs_coeff(self) -> int:
         return max((abs(k) for k in self.coeffs.values()), default=0)
@@ -145,120 +141,16 @@ class GroupRingElt:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-class CosetVector:
-    """Integer vector indexed by the left cosets of a coset space."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: CosetSpace, coeffs: Iterable[int]):
-        vals = tuple(int(c) for c in coeffs)
-        if len(vals) != space.num_cosets:
-            raise ValueError("coefficient length does not match number of cosets")
-        self.space = space
-        self.coeffs = vals
-
-    @staticmethod
-    def zero(space: CosetSpace) -> "CosetVector":
-        return CosetVector(space, (0,) * space.num_cosets)
-
-    @staticmethod
-    def basis(space: CosetSpace, coset: int) -> "CosetVector":
-        if coset < 0 or coset >= space.num_cosets:
-            raise ValueError("coset index out of range")
-        return CosetVector(space, tuple(1 if c == coset else 0 for c in range(space.num_cosets)))
-
-    def _check(self, other: "CosetVector") -> None:
-        if self.space != other.space:
-            raise GroupMismatch("vectors over different coset spaces")
-
-    def __add__(self, other: "CosetVector") -> "CosetVector":
-        self._check(other)
-        return CosetVector(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CosetVector") -> "CosetVector":
-        self._check(other)
-        return CosetVector(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CosetVector":
-        return CosetVector(self.space, tuple(-a for a in self.coeffs))
-
-    def scale(self, k: int) -> "CosetVector":
-        return CosetVector(self.space, tuple(k * a for a in self.coeffs))
-
-    def translate(self, g: int) -> "CosetVector":
-        """Image under the action of the single group element g."""
-        out = [0] * self.space.num_cosets
-        row = self.space.action[g]
-        for c, k in enumerate(self.coeffs):
-            if k:
-                out[row[c]] += k
-        return CosetVector(self.space, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, GroupRingElt):
-            return act(other, self)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def is_positive(self) -> bool:
-        return all(a >= 0 for a in self.coeffs)
-
-    def mass(self) -> int:
-        return sum(self.coeffs)
-
-    def max_abs_coeff(self) -> int:
-        return max((abs(a) for a in self.coeffs), default=0)
-
-    def positive_part(self) -> "CosetVector":
-        return CosetVector(self.space, tuple(max(a, 0) for a in self.coeffs))
-
-    def negative_part(self) -> "CosetVector":
-        return CosetVector(self.space, tuple(max(-a, 0) for a in self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CosetVector)
-            and self.space == other.space
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"CosetVector{self.coeffs}"
-
-
-def project_pi(a: GroupRingElt, space: CosetSpace) -> CosetVector:
+def project_pi(a: GroupRingElt, space: CosetSpace) -> tuple[int, ...]:
     """Coset-wise coefficient sums; the natural left module projection."""
     if a.group != space.parent:
         raise GroupMismatch("element and coset space over different groups")
     out = [0] * space.num_cosets
     for g, k in a.coeffs.items():
         out[space.elt_to_coset[g]] += k
-    return CosetVector(space, out)
+    return tuple(out)
 
 
-def act(a: GroupRingElt, v: CosetVector) -> CosetVector:
-    """Left action of a group-ring element on a coset vector."""
-    if a.group != v.space.parent:
-        raise GroupMismatch("element and vector over different groups")
-    out = [0] * v.space.num_cosets
-    for g, k in a.coeffs.items():
-        row = v.space.action[g]
-        for c, vc in enumerate(v.coeffs):
-            if vc:
-                out[row[c]] += k * vc
-    return CosetVector(v.space, out)
-
-
-def lift_vector(v: CosetVector) -> GroupRingElt:
+def lift_vector(space: CosetSpace, coeffs: Sequence[int]) -> GroupRingElt:
     """Canonical lift: each coset coefficient placed on the canonical representative."""
-    space = v.space
-    return GroupRingElt(
-        space.parent, {space.reps[c]: k for c, k in enumerate(v.coeffs) if k}
-    )
+    return GroupRingElt(space.parent, {space.reps[c]: k for c, k in enumerate(coeffs) if k})

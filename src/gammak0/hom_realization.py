@@ -10,13 +10,10 @@ shift cosets.  Towers of groups are realized level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
-    ClassMismatch,
     InternalVerificationFailed,
     NotOrderUnit,
-    NotPositive,
     NotPositiveMap,
     NotRealizable,
     ShapeMismatch,
@@ -24,7 +21,6 @@ from .errors import (
 )
 from .gamma_maps import GammaLinearMap, identity_map, is_positive_map, map_apply, map_compose
 from .graded_matricial import K0Data, MatricialComponent, MatricialRingDesc, k0_of_matricial
-from .group_ring import GroupRingElt, lift_vector, project_pi
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit, leq
 from .sdp_engine import Verdict
@@ -60,16 +56,12 @@ class HomSpec:
     certificate: tuple[CopyEmbedding, ...]
 
 
-def realize_simplicial(
-    group: SimplicialGroup,
-    unit: GammaVector,
-    coefficients: Sequence[GroupRingElt] | None = None,
-) -> RealizedSimplicial:
+def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSimplicial:
     """Matricial descriptor whose class data is (group, unit) exactly.
 
-    Coordinate coefficients are grouped by the left coset of their support
-    element; each class contributes its total mass many diagonal slots whose
-    shift is the inverse of the first support element seen.
+    Coordinate i contributes one diagonal slot per unit of coset mass; a slot
+    in coset c is shifted by the inverse of the representative of c, and the
+    slots run in increasing order of that representative.
     """
     space = group.space
     G = space.parent
@@ -77,31 +69,13 @@ def realize_simplicial(
         raise ShapeMismatch("unit not in the group")
     if not group.cone_contains(unit) or not is_order_unit(group, unit):
         raise NotOrderUnit("every coordinate of the unit must carry positive mass")
-    if coefficients is None:
-        coefficients = [lift_vector(c) for c in unit.coords]
-    if len(coefficients) != group.rank:
-        raise ShapeMismatch("one coefficient per coordinate required")
-    for a in coefficients:
-        if not a.is_positive():
-            raise NotPositive("coefficients must lie in the positive cone")
-    for a, c in zip(coefficients, unit.coords):
-        if project_pi(a, space) != c:
-            raise ClassMismatch("coefficients do not represent the unit")
+    order = sorted(range(space.num_cosets), key=space.reps.__getitem__)
     components = []
-    for a in coefficients:
-        by_coset: dict[int, tuple[int, int]] = {}  # coset -> (first element, mass)
-        for g, k in a.items():
-            c = space.elt_to_coset[g]
-            if c in by_coset:
-                first, mass = by_coset[c]
-                by_coset[c] = (first, mass + k)
-            else:
-                by_coset[c] = (g, k)
-        if not by_coset:
-            raise NotOrderUnit("a coordinate with zero mass cannot be realized")
+    for i in range(group.rank):
+        coord = unit.coord(i)
         shifts: list[int] = []
-        for first, mass in by_coset.values():
-            shifts.extend([G.inv[first]] * mass)
+        for c in order:
+            shifts += [G.inv[space.reps[c]]] * coord[c]
         components.append(MatricialComponent(size=len(shifts), shifts=tuple(shifts)))
     ring = MatricialRingDesc(space=space, components=tuple(components))
     k0 = k0_of_matricial(ring)

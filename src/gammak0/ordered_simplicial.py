@@ -1,10 +1,11 @@
 """Finite direct sums of coset permutation modules with their standard order.
 
 A ``SimplicialGroup`` of rank n over a coset space is the ordered module
-whose elements are n-tuples of coset vectors and whose cone is coordinatewise
-nonnegativity.  An element is stored as one flat tuple of ``rank * cosets``
-integers, coordinate i at positions ``i*cosets .. i*cosets + cosets - 1``,
-which makes equality canonical and every operation one pass over the tuple.
+whose elements are n-tuples of coset-module elements and whose cone is
+coordinatewise nonnegativity; rank 1 is the coset module itself.  An element
+is stored as one flat tuple of ``rank * cosets`` integers, coordinate i at
+positions ``i*cosets .. i*cosets + cosets - 1``, which makes equality
+canonical and every operation one pass over the tuple.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import GroupMismatch, IndexOutOfRange, NotInCone, PreorderViolated, ShapeMismatch, SumMismatch
 from .finite_group import CosetSpace, Subgroup
-from .group_ring import CosetVector, GroupRingElt
+from .group_ring import GroupRingElt
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,11 @@ class SimplicialGroup:
     def basis(self) -> list["GammaVector"]:
         return [self.basis_vector(i) for i in range(self.rank)]
 
-    def element(self, coords: Sequence[CosetVector | Sequence[int]]) -> "GammaVector":
+    def element(self, coords: Sequence[Sequence[int]]) -> "GammaVector":
         if len(coords) != self.rank:
             raise ShapeMismatch("coordinate count does not match rank")
         flat: list[int] = []
         for c in coords:
-            if isinstance(c, CosetVector):
-                if c.space != self.space:
-                    raise ShapeMismatch("coordinate over a different coset space")
-                c = c.coeffs
             vals = [int(x) for x in c]
             if len(vals) != self.space.num_cosets:
                 raise ValueError("coefficient length does not match number of cosets")
@@ -83,11 +80,6 @@ class GammaVector:
         """Coefficients of coordinate i, a slice of ``flat``."""
         n = self.group.space.num_cosets
         return self.flat[i * n : i * n + n]
-
-    @property
-    def coords(self) -> tuple[CosetVector, ...]:
-        """The coordinates as coset vectors; a derived view."""
-        return tuple(CosetVector(self.group.space, self.coord(i)) for i in range(self.group.rank))
 
     def _check(self, other: "GammaVector") -> None:
         if not isinstance(other, GammaVector) or self.group != other.group:
@@ -144,9 +136,6 @@ class GammaVector:
 
     def max_abs_coeff(self) -> int:
         return max(map(abs, self.flat), default=0)
-
-    def flatten(self) -> tuple[int, ...]:
-        return self.flat
 
     def __eq__(self, other) -> bool:
         return (

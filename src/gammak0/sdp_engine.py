@@ -69,7 +69,8 @@ def sdp_witness(group: SimplicialGroup, a: Sequence[GroupRingElt], x: Sequence[G
         b = tuple((GroupRingElt.zero(group.space.parent),) for _ in x)
         return SdpWitness(m=1, b=b, y=(group.zero(),))
     y = tuple(group.basis())
-    b = tuple(tuple(lift_vector(c) for c in xi.coords) for xi in x)
+    space = group.space
+    b = tuple(tuple(lift_vector(space, xi.coord(i)) for i in range(group.rank)) for xi in x)
     return SdpWitness(m=group.rank, b=b, y=y)
 
 
@@ -98,7 +99,7 @@ def verify_sdp_witness(group, a: Sequence[GroupRingElt], x: Sequence, w: SdpWitn
         col_sum = GroupRingElt.zero(space.parent)
         for i in range(n):
             col_sum = col_sum + a[i] * w.b[i][j]
-        if not project_pi(col_sum, space).is_zero():
+        if any(project_pi(col_sum, space)):
             return Verdict(False, f"column_sum_nonzero_{j}")
     return Verdict(True)
 
@@ -138,7 +139,7 @@ def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) ->
         return Verdict(False, "decomposition_mismatch")
     space = group.space
     for j, bj in enumerate(w.b):
-        if not project_pi(a * bj, space).is_positive():
+        if min(project_pi(a * bj, space), default=0) < 0:
             return Verdict(False, f"projected_product_negative_{j}")
     return Verdict(True)
 
@@ -173,7 +174,7 @@ def search_unperforation_witness_m1(
     targets = [x.coord(i) for i in range(group.rank)]
     for b_coeffs in product(range(-bound, bound + 1), repeat=G.order):
         b = GroupRingElt(G, dict(enumerate(b_coeffs)))
-        if not project_pi(a * b, space).is_positive():
+        if min(project_pi(a * b, space), default=0) < 0:
             continue
         action = [[0] * nc for _ in range(nc)]
         for g, k in b.coeffs.items():

@@ -12,11 +12,11 @@ from pathlib import Path
 from typing import Any
 
 from .errors import SchemaError, ShapeMismatch
-from .extension import ExtElt, ExtendedGroup
+from .extension import ExtendedGroup
 from .finite_group import CosetSpace, FiniteGroup, _is_int, coset_space, group_from_table, subgroup_closure
 from .gamma_maps import GammaLinearMap, map_new
 from .graded_matricial import MatricialRingDesc, matricial_ring
-from .group_ring import CosetVector, GroupRingElt
+from .group_ring import GroupRingElt
 from .hom_realization import HomSpec
 from .limits import ColimitElt, Tower, tower_new
 from .ordered_simplicial import GammaVector, SimplicialGroup
@@ -296,7 +296,7 @@ def extension_from_json(payload: dict) -> ExtendedGroup:
     return ExtendedGroup(base=group, unit=unit)
 
 
-def ext_elt_from_json(ext: ExtendedGroup, data: Any, context: str = "pair") -> ExtElt:
+def ext_elt_from_json(ext: ExtendedGroup, data: Any, context: str = "pair") -> GammaVector:
     if not isinstance(data, dict):
         raise SchemaError(f"{context}: expected an object with 'x' and 't'")
     x = vector_from_json(ext.base, _need(data, "x", context), context=context)
@@ -304,27 +304,23 @@ def ext_elt_from_json(ext: ExtendedGroup, data: Any, context: str = "pair") -> E
     nc = ext.base.space.num_cosets
     if not isinstance(t_data, list) or len(t_data) != nc or not all(_is_int(v) for v in t_data):
         raise SchemaError(f"{context}: t needs {nc} integers")
-    return ExtElt(ext, x, CosetVector(ext.base.space, t_data))
+    return ext.element(x, t_data)
 
 
-def ext_elt_to_json(e: ExtElt) -> dict:
-    return {"x": vector_to_json(e.x), "t": list(e.t.coeffs)}
+def ext_elt_to_json(ext: ExtendedGroup, e: GammaVector) -> dict:
+    x, t = ext.split(e)
+    return {"x": vector_to_json(x), "t": list(t)}
 
 
 # -- certificates ---------------------------------------------------------------------
 
 
-def sdp_witness_to_json(w: SdpWitness) -> dict:
-    y_out = []
-    for yj in w.y:
-        if isinstance(yj, ExtElt):
-            y_out.append(ext_elt_to_json(yj))
-        else:
-            y_out.append(vector_to_json(yj))
+def sdp_witness_to_json(w: SdpWitness, ext: ExtendedGroup | None = None) -> dict:
+    """Witness as JSON; pass ``ext`` when the targets are extension elements."""
     return {
         "m": w.m,
         "b": [[ring_elt_to_json(entry) for entry in row] for row in w.b],
-        "y": y_out,
+        "y": [vector_to_json(yj) if ext is None else ext_elt_to_json(ext, yj) for yj in w.y],
     }
 
 

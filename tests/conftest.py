@@ -13,7 +13,6 @@ import pytest
 
 from gammak0 import (
     CosetSpace,
-    CosetVector,
     FiniteGroup,
     GammaVector,
     GroupRingElt,
@@ -255,7 +254,7 @@ def random_zero_relation(rng: random.Random, G: SimplicialGroup, n_max=3, coeff_
     cols = []
     for xi in xs:
         for g in group.elements():
-            cols.append(xi.translate(g).flatten())
+            cols.append(xi.translate(g).flat)
     if G.flat_dim() == 0:
         coeffs = [GroupRingElt.zero(group) for _ in range(n)]
         return coeffs, xs
@@ -277,15 +276,9 @@ def random_zero_relation(rng: random.Random, G: SimplicialGroup, n_max=3, coeff_
 
 def relation_among(rng: random.Random, H, pairs):
     """Exact integer relation among extension elements, or (None, None)."""
-    G = H.base
-    group = G.space.parent
-    nc = G.space.num_cosets
-    dim = G.flat_dim() + nc
-    cols = []
-    for e in pairs:
-        for g in group.elements():
-            te = e.translate(g)
-            cols.append(list(te.x.flatten()) + list(te.t.coeffs))
+    group = H.space.parent
+    dim = H.carrier.flat_dim()
+    cols = [e.translate(g).flat for e in pairs for g in group.elements()]
     matrix = [[cols[j][r] for j in range(len(cols))] for r in range(dim)]
     basis = intlinalg.kernel_basis(matrix, len(pairs) * group.order)
     if not basis:
@@ -314,13 +307,21 @@ def dominating_coefficient(u: GammaVector, x: GammaVector) -> GroupRingElt:
     return GroupRingElt(group, dict.fromkeys(group.elements(), k))
 
 
-def translate_reference(v: CosetVector, g: int) -> CosetVector:
-    """g * v computed from the multiplication table and the coset labels alone."""
-    space = v.space
+def translate_reference(space: CosetSpace, coeffs, g: int) -> tuple[int, ...]:
+    """g * coeffs in the coset module, from the multiplication table and the
+    coset labels alone."""
     out = [0] * space.num_cosets
-    for c, k in enumerate(v.coeffs):
+    for c, k in enumerate(coeffs):
         out[space.elt_to_coset[space.parent.mul[g][space.reps[c]]]] += k
-    return CosetVector(space, out)
+    return tuple(out)
+
+
+def act_reference(space: CosetSpace, a: GroupRingElt, coeffs) -> tuple[int, ...]:
+    """a * coeffs in the coset module, summed over translate_reference."""
+    out = [0] * space.num_cosets
+    for g, k in a.coeffs.items():
+        out = [o + k * t for o, t in zip(out, translate_reference(space, coeffs, g))]
+    return tuple(out)
 
 
 def rational_rank(m: list[list[int]], ncols: int) -> int:

@@ -10,7 +10,6 @@ import time
 
 from gammak0 import (
     ColimitElt,
-    CosetVector,
     ExtendedGroup,
     GroupRingElt,
     SimplicialGroup,
@@ -195,9 +194,7 @@ def test_criterion_06_decomposition_witnesses():
         pairs = []
         for _ in range(rng.randint(1, 3)):
             x = random_vector(rng, G, max_coeff=2)
-            t = CosetVector(
-                G.space, [rng.randint(0, 2) for _ in range(G.space.num_cosets)]
-            )
+            t = [rng.randint(0, 2) for _ in range(G.space.num_cosets)]
             e = H.element(x, t)
             if not H.cone_contains(e):
                 e = H.element(x.positive_part(), t)

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from gammak0 import (
-    CosetVector,
     DeltaNotNormal,
     ExtendedGroup,
     GroupRingElt,
     NotInCone,
     RelationNotZero,
+    ShapeMismatch,
     cyclic_group,
     dihedral_group,
     ext_sdp_witness,
@@ -46,6 +46,35 @@ def test_cone_examples():
     assert H.cone_contains(H.zero())
     assert H.cone_contains(H.inject(G.element([[3]])))
     assert not H.cone_contains(H.element(G.zero(), [-1]))
+
+
+def test_element_and_split_check_shapes():
+    H = z_over_z2()
+    G = H.base
+    e = H.element(G.element([[-1]]), [1])
+    assert e.group == H.carrier and e.group.rank == G.rank + 1
+    assert H.split(e) == (G.element([[-1]]), (1,))
+    other = simplicial_over(cyclic_group(2), [], 1)
+    with pytest.raises(ShapeMismatch):
+        H.element(other.element([[1, 0]]), [1])
+    with pytest.raises(ShapeMismatch):
+        H.element(G.zero(), [1, 0])
+    with pytest.raises(ShapeMismatch):
+        H.split(G.element([[1]]))
+    with pytest.raises(ShapeMismatch):
+        H.cone_contains(other.element([[1, 0]]))
+
+
+def test_extensions_over_one_base_share_a_carrier():
+    # the unit fixes only the cone: equal entries give equal vectors
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [0, 1], 1)
+    H1 = ExtendedGroup(base=G, unit=G.element([[1]]))
+    H2 = ExtendedGroup(base=G, unit=G.element([[3]]))
+    assert H1 != H2 and H1.carrier == H2.carrier
+    e = H1.element(G.element([[-2]]), [1])
+    assert e == H2.element(G.element([[-2]]), [1])
+    assert not H1.cone_contains(e) and H2.cone_contains(e)
 
 
 def test_extension_requires_normal_stabilizer():
@@ -84,10 +113,10 @@ def test_top_element_reduction_matches_exhaustive_quantifier():
     box = interval_box(u)
     for _ in range(60):
         x = random_vector(rng, G)
-        t = CosetVector(G.space, [rng.randint(0, 2), rng.randint(0, 2)])
+        t = [rng.randint(0, 2), rng.randint(0, 2)]
         via_top = H.cone_contains(H.element(x, t))
         via_any = any(
-            G.cone_contains(x + lift_vector(t) * d) for d in box
+            G.cone_contains(x + lift_vector(G.space, t) * d) for d in box
         )
         assert via_top == via_any
 
@@ -155,9 +184,7 @@ def test_ext_sdp_random_relations():
             pairs = []
             for _ in range(n):
                 x = random_vector(rng, G, max_coeff=2)
-                t = CosetVector(
-                    G.space, [rng.randint(0, 2) for _ in range(G.space.num_cosets)]
-                )
+                t = [rng.randint(0, 2) for _ in range(G.space.num_cosets)]
                 e = H.element(x, t)
                 if not H.cone_contains(e):
                     e = H.element(x.positive_part(), t)
@@ -189,11 +216,10 @@ def test_extend_mult_tower_squares_commute():
     for n in range(len(t.maps)):
         for _ in range(8):
             x = random_vector(rng, G)
-            tpart = CosetVector(G.space, [rng.randint(-2, 2), rng.randint(-2, 2)])
+            tpart = (rng.randint(-2, 2), rng.randint(-2, 2))
             e = ext.levels[n].element(x, tpart)
             through = ext.map_apply(n, e)
-            assert through.x == map_apply(t.maps[n], x)
-            assert through.t == tpart
+            assert ext.levels[n + 1].split(through) == (map_apply(t.maps[n], x), tpart)
             # injection square
             assert ext.map_apply(n, ext.levels[n].inject(x)) == ext.levels[n + 1].inject(
                 map_apply(t.maps[n], x)

@@ -228,4 +228,4 @@ def test_k0_respects_graded_iso():
         uR = k0_of_matricial(R).unit_class
         uS = k0_of_matricial(S).unit_class
         for j, i in enumerate(perm):
-            assert uR.coords[i] == uS.coords[j]
+            assert uR.coord(i) == uS.coord(j)

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from gammak0 import (
-    ClassMismatch,
-    GroupRingElt,
     NotOrderUnit,
     NotRealizable,
+    SimplicialGroup,
     UnitMismatch,
+    coset_space,
     cyclic_group,
     dihedral_group,
+    group_from_table,
     hom_compose,
     hom_realizable,
     k0_of_hom,
@@ -23,6 +24,7 @@ from gammak0 import (
     realize_simplicial,
     realize_tower,
     tower_new,
+    trivial_subgroup,
     verify_hom_spec,
 )
 from conftest import (
@@ -59,26 +61,13 @@ def test_realize_rejects_zero_coordinate():
         realize_simplicial(G, u)
 
 
-def test_realize_rejects_class_mismatch():
-    Z2 = cyclic_group(2)
-    G = simplicial_over(Z2, [], 1)
-    u = G.element([[1, 0]])
-    wrong = [GroupRingElt.basis(Z2, 1)]  # projects to x, not 1
-    with pytest.raises(ClassMismatch):
-        realize_simplicial(G, u, wrong)
-
-
-def test_realize_with_redundant_coefficients():
-    # coefficients spread over a coset collapse onto its first support element
-    d3 = dihedral_group(3)
-    G = simplicial_over(d3, [3], 1)
-    u = G.element([[0, 2, 0]])
-    a = [GroupRingElt(d3, {1: 1, 4: 1})]  # a and ab, same coset
-    realized = realize_simplicial(G, u, a)
-    comp = realized.ring.components[0]
-    assert comp.size == 2
-    assert comp.shifts == (d3.inv[1],) * 2
-    assert realized.k0.unit_class == u
+def test_realize_orders_slots_by_coset_representative():
+    # identity is element 1, so coset 0 (represented by 1) comes after coset 1
+    g = group_from_table([[1, 0], [0, 1]])
+    S = SimplicialGroup(coset_space(g, trivial_subgroup(g)), 1)
+    realized = realize_simplicial(S, S.element([[2, 3]]))
+    assert realized.ring.components[0].shifts == (0, 0, 0, 1, 1)
+    assert realized.k0.unit_class == S.element([[2, 3]])
 
 
 def test_realize_round_trip_random():

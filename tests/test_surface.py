@@ -2,9 +2,10 @@
 
 A public module-level function or class, or a public method of such a class,
 must be named somewhere in the package outside ``__init__.py``, in the
-acceptance suite, or in the benchmark harness.  A definition that only its own
-unit test reaches is surface that no subcommand, acceptance criterion or
-benchmark runs.  The check is by name, so it can miss an orphan that shares
+acceptance suite, or in the benchmark harness.  A method must be reached as an
+attribute (``x.name``), so a local variable of the same name does not count.
+A definition that only its own unit test reaches is surface that no
+subcommand, acceptance criterion or benchmark runs.  The check is by name, so it can miss an orphan that shares
 its name with something used; it never flags a definition that is used.
 """
 
@@ -19,28 +20,30 @@ def _modules() -> list[Path]:
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _names_used(path: Path) -> set[str]:
-    used = set()
+def _names_used(path: Path) -> tuple[set[str], set[str]]:
+    """(every name, attribute names only) that the module mentions."""
+    names, attrs = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name.rsplit(".", 1)[-1])
-    return used
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names | attrs, attrs
 
 
-def _public_definitions(path: Path) -> list[tuple[str, str]]:
-    """(qualified name, bare name) of public top-level definitions and their methods."""
+def _public_definitions(path: Path) -> list[tuple[str, str, bool]]:
+    """(qualified name, bare name, is a method) of public top-level definitions
+    and their methods."""
     out = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        out.append((f"{path.stem}.{node.name}", node.name))
+        out.append((f"{path.stem}.{node.name}", node.name, False))
         if isinstance(node, ast.ClassDef):
             out.extend(
-                (f"{path.stem}.{node.name}.{item.name}", item.name)
+                (f"{path.stem}.{node.name}.{item.name}", item.name, True)
                 for item in node.body
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
             )
@@ -49,6 +52,13 @@ def _public_definitions(path: Path) -> list[tuple[str, str]]:
 
 def test_every_public_definition_is_reached():
     readers = _modules() + [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*(_names_used(p) for p in readers))
-    orphans = [q for p in _modules() for q, name in _public_definitions(p) if name not in used]
+    seen = [_names_used(p) for p in readers]
+    used = set().union(*(names for names, _ in seen))
+    used_as_attr = set().union(*(attrs for _, attrs in seen))
+    orphans = [
+        q
+        for p in _modules()
+        for q, name, is_method in _public_definitions(p)
+        if name not in (used_as_attr if is_method else used)
+    ]
     assert orphans == [], f"public definitions with no caller: {orphans}"
