@@ -112,7 +112,6 @@ from .hom_realization import (
 )
 from .extension import (
     ExtendedGroup,
-    ExtendedTower,
     ext_sdp_witness,
     extend_tower,
 )

@@ -221,13 +221,13 @@ def _cmd_graded_iso(args) -> int:
 def _cmd_extend(args) -> int:
     payload = io.load_problem(args.path, "tower")
     tower = io.tower_from_json(payload)
-    ext = extend_tower(tower)
+    levels = extend_tower(tower)
     data = {
-        "levels": len(ext.levels),
-        "unit": io.ext_elt_to_json(ext.levels[0], ext.levels[0].order_unit()),
+        "levels": len(levels),
+        "unit": io.ext_elt_to_json(levels[0], levels[0].order_unit()),
         "squares_verified": True,
     }
-    _emit(args, lambda: [f"extended {len(ext.levels)} levels; commuting squares verified"], data)
+    _emit(args, lambda: [f"extended {len(levels)} levels; commuting squares verified"], data)
     return 0
 
 

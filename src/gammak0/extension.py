@@ -14,6 +14,11 @@ quantifier is kept in the test suite as an oracle.
 Extensions of one base by different units share one carrier, so their
 elements compare equal when their entries do: the unit fixes only the cone,
 and ``cone_contains`` is where it is applied.
+
+An interval tower extends levelwise.  Its connecting maps are f (+) id on
+the carriers, positive by construction because f is positive and
+f(u_n) <= u_(n+1), so they are neither built nor re-checked here.  Witnesses
+are built, not verified: the CLI checks each one independently.
 """
 
 from __future__ import annotations
@@ -23,17 +28,15 @@ from typing import Sequence
 
 from .errors import (
     DeltaNotNormal,
-    InternalVerificationFailed,
     NotInCone,
     NotOrderUnit,
     RelationNotZero,
     ShapeMismatch,
 )
-from .gamma_maps import map_apply
 from .group_ring import GroupRingElt, lift_vector
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit
-from .sdp_engine import SdpWitness, verify_sdp_witness
+from .sdp_engine import SdpWitness
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,6 @@ def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequen
     lifts of the coset parts, whose projected relation sum vanishes with the
     relation itself.
     """
-    if not ext.base.space.is_normal:
-        raise DeltaNotNormal("extensions require a normal stabilizer")
     if len(a) != len(pairs):
         raise RelationNotZero("coefficient and element counts differ")
     total = ext.zero()
@@ -120,48 +121,12 @@ def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequen
         rows.append(tuple(row))
     y = [ext.inject(v) for v in base.basis()]
     y.append(ext.order_unit() - ext.inject(ext.unit))
-    witness = SdpWitness(m=m + 1, b=tuple(rows), y=tuple(y))
-    check = verify_sdp_witness(ext, a, pairs, witness)
-    if not check:
-        raise InternalVerificationFailed(f"extension witness failed: {check.reason}")
-    return witness
+    return SdpWitness(m=m + 1, b=tuple(rows), y=tuple(y))
 
 
-@dataclass(frozen=True)
-class ExtendedTower:
-    """Levelwise extension of an interval-mode tower; maps act as (g, identity)."""
-
-    base: Tower
-    levels: tuple[ExtendedGroup, ...]
-
-    def map_apply(self, level: int, e: GammaVector) -> GammaVector:
-        x, t = self.levels[level].split(e)
-        nxt = self.levels[level + 1] if level + 1 < len(self.levels) else self.levels[-1]
-        return nxt.element(map_apply(self.base.map_at(level), x), t)
-
-
-def extend_tower(tower: Tower) -> ExtendedTower:
-    """Extend every level and verify the commuting squares exactly."""
+def extend_tower(tower: Tower) -> tuple[ExtendedGroup, ...]:
+    """Extend every level of an interval-mode tower."""
     if tower.mode != "interval":
         raise ValueError("only interval-mode towers extend")
-    if not tower.groups[0].space.is_normal:
-        raise DeltaNotNormal("extensions require a normal stabilizer")
     assert tower.units is not None
-    levels = tuple(
-        ExtendedGroup(base=g, unit=u) for g, u in zip(tower.groups, tower.units)
-    )
-    ext = ExtendedTower(base=tower, levels=levels)
-    for n, f in enumerate(tower.maps):
-        lower, upper = levels[n], levels[n + 1]
-        for v in lower.base.basis():
-            through = ext.map_apply(n, lower.inject(v))
-            direct = upper.inject(map_apply(f, v))
-            if through != direct:
-                raise InternalVerificationFailed("injection square does not commute")
-        nc = lower.space.num_cosets
-        for c in range(nc):
-            t = tuple(int(d == c) for d in range(nc))
-            e = lower.element(lower.base.zero(), t)
-            if upper.split(ext.map_apply(n, e))[1] != t:
-                raise InternalVerificationFailed("projection square does not commute")
-    return ext
+    return tuple(ExtendedGroup(base=g, unit=u) for g, u in zip(tower.groups, tower.units))

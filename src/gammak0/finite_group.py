@@ -250,14 +250,8 @@ def normal_closure(group: FiniteGroup, sub: Subgroup) -> Subgroup:
     conjugates = {
         group.conjugate(g, h) for g in group.elements() for h in sub.members
     }
-    closed = subgroup_closure(group, conjugates)
-    # conjugation-closure and subgroup-closure interleave until stable
-    while not closed.is_normal():
-        conjugates = {
-            group.conjugate(g, h) for g in group.elements() for h in closed.members
-        }
-        closed = subgroup_closure(group, conjugates)
-    return closed
+    # a set closed under conjugation generates a normal subgroup
+    return subgroup_closure(group, conjugates)
 
 
 def trivial_subgroup(group: FiniteGroup) -> Subgroup:

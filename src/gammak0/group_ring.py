@@ -64,12 +64,6 @@ class GroupRingElt:
     def max_abs_coeff(self) -> int:
         return max((abs(k) for k in self.coeffs.values()), default=0)
 
-    def positive_part(self) -> "GroupRingElt":
-        return GroupRingElt(self.group, {g: k for g, k in self.coeffs.items() if k > 0})
-
-    def negative_part(self) -> "GroupRingElt":
-        return GroupRingElt(self.group, {g: -k for g, k in self.coeffs.items() if k < 0})
-
     # -- arithmetic --
 
     def _check(self, other: "GroupRingElt") -> None:

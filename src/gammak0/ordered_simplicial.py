@@ -131,9 +131,6 @@ class GammaVector:
     def positive_part(self) -> "GammaVector":
         return GammaVector(self.group, tuple(a if a > 0 else 0 for a in self.flat))
 
-    def negative_part(self) -> "GammaVector":
-        return GammaVector(self.group, tuple(-a if a < 0 else 0 for a in self.flat))
-
     def max_abs_coeff(self) -> int:
         return max(map(abs, self.flat), default=0)
 

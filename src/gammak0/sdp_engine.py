@@ -2,9 +2,12 @@
 
 A simplicial group decomposes every zero relation among cone elements
 through nonnegative group-ring coefficients against its basis; the witness
-records those coefficients and is checked exactly.  Unperforation witnesses
-are derived from the same construction applied to the split of an element
-into positive and negative parts.
+records those coefficients.  An unperforation witness for x is the same
+decomposition of x alone, the lifts of its coordinates against the basis:
+project_pi is a module map, so project_pi(a*b_j) is the j-th coordinate of
+a*x, nonnegative whenever a*x is positive.  Both witnesses hold by
+construction; the ``verify_*`` functions are the independent checks, and the
+CLI runs them on every witness it emits.
 """
 
 from __future__ import annotations
@@ -57,6 +60,18 @@ def _check_relation(group, a: Sequence[GroupRingElt], x: Sequence) -> None:
         raise RelationNotZero("relation does not sum to zero")
 
 
+def _against_basis(group: SimplicialGroup, xs: Sequence[GammaVector]) -> tuple[int, tuple, tuple]:
+    """(m, rows, targets): row i holds the canonical lifts of the coordinates
+    of xs[i], so it recombines the basis targets into xs[i].  Rank 0 has no
+    basis and uses the single target 0 with zero coefficients."""
+    if group.rank == 0:
+        zero = GroupRingElt.zero(group.space.parent)
+        return 1, tuple((zero,) for _ in xs), (group.zero(),)
+    space = group.space
+    rows = tuple(tuple(lift_vector(space, x.coord(i)) for i in range(group.rank)) for x in xs)
+    return group.rank, rows, tuple(group.basis())
+
+
 def sdp_witness(group: SimplicialGroup, a: Sequence[GroupRingElt], x: Sequence[GammaVector]) -> SdpWitness:
     """Witness for a zero relation, with the basis as decomposition targets.
 
@@ -65,13 +80,8 @@ def sdp_witness(group: SimplicialGroup, a: Sequence[GroupRingElt], x: Sequence[G
     coordinate by coordinate.
     """
     _check_relation(group, a, x)
-    if group.rank == 0:
-        b = tuple((GroupRingElt.zero(group.space.parent),) for _ in x)
-        return SdpWitness(m=1, b=b, y=(group.zero(),))
-    y = tuple(group.basis())
-    space = group.space
-    b = tuple(tuple(lift_vector(space, xi.coord(i)) for i in range(group.rank)) for xi in x)
-    return SdpWitness(m=group.rank, b=b, y=y)
+    m, b, y = _against_basis(group, x)
+    return SdpWitness(m=m, b=b, y=y)
 
 
 def verify_sdp_witness(group, a: Sequence[GroupRingElt], x: Sequence, w: SdpWitness) -> Verdict:
@@ -107,23 +117,15 @@ def verify_sdp_witness(group, a: Sequence[GroupRingElt], x: Sequence, w: SdpWitn
 def unperforation_witness(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> UnperfWitness:
     """Decomposition of x with projected products a*b_j nonnegative.
 
-    Splits x into positive and negative parts and runs the zero-relation
-    witness on a*x+ - a*x- - (a*x) = 0.
+    b_j is the lift of the j-th coordinate of x and y is the basis, so
+    project_pi(a*b_j) is the j-th coordinate of a*x.
     """
     if not a.is_positive():
         raise NotPositive("coefficient must lie in the positive cone of the group ring")
-    ax = a * x
-    if not group.cone_contains(ax):
+    if not group.cone_contains(a * x):
         raise ProductNotInCone("a*x must lie in the cone")
-    xp = x.positive_part()
-    xn = x.negative_part()
-    w = sdp_witness(
-        group,
-        [a, -a, -GroupRingElt.one(group.space.parent)],
-        [xp, xn, ax],
-    )
-    b = tuple(w.b[0][j] - w.b[1][j] for j in range(w.m))
-    return UnperfWitness(m=w.m, b=b, y=w.y)
+    m, (b,), y = _against_basis(group, [x])
+    return UnperfWitness(m=m, b=b, y=y)
 
 
 def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) -> Verdict:
@@ -144,13 +146,10 @@ def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) ->
     return Verdict(True)
 
 
-def search_unperforation_witness_m1(
-    group: SimplicialGroup,
-    a: GroupRingElt,
-    x: GammaVector,
-    bound: int | None = None,
-    budget: int = 10_000_000,
-) -> UnperfWitness | None:
+M1_BUDGET = 10_000_000  # candidate (b, coordinate, y) triples the m=1 search may try
+
+
+def search_unperforation_witness_m1(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> UnperfWitness | None:
     """Exhaustive bounded search for a single-term witness x = b*y.
 
     Coefficients of b and entries of y range over a box bounded by the
@@ -159,17 +158,16 @@ def search_unperforation_witness_m1(
     coordinate.  This is a desk-scale certificate: a None result refutes
     witnesses inside the box only.
     """
-    if bound is None:
-        bound = max(a.max_abs_coeff(), x.max_abs_coeff()) + 2
+    bound = max(a.max_abs_coeff(), x.max_abs_coeff()) + 2
     G = group.space.parent
     space = group.space
     nc = space.num_cosets
     b_count = (2 * bound + 1) ** G.order
     y_count = (bound + 1) ** nc
-    if b_count * max(1, group.rank) * y_count > budget:
+    if b_count * max(1, group.rank) * y_count > M1_BUDGET:
         raise ValueError(
             f"search space {b_count * max(1, group.rank) * y_count} exceeds "
-            f"budget {budget}; reduce the instance or raise the budget"
+            f"budget {M1_BUDGET}; reduce the instance"
         )
     targets = [x.coord(i) for i in range(group.rank)]
     for b_coeffs in product(range(-bound, bound + 1), repeat=G.order):

@@ -24,7 +24,6 @@ from gammak0 import (
     verify_unperforation_witness,
 )
 from gammak0 import serialize as io
-from conftest import simplicial_over
 
 
 def write(tmp_path, name, kind, payload):

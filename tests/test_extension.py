@@ -197,36 +197,40 @@ def test_ext_sdp_random_relations():
             assert check, check.reason
 
 
+def push(levels, f, n, e):
+    """(x, t) -> (f x, t): the connecting map f (+) id from level n to n + 1."""
+    x, t = levels[n].split(e)
+    return levels[n + 1].element(map_apply(f, x), t)
+
+
 def test_extend_constant_tower():
     d3 = dihedral_group(3)
     G = simplicial_over(d3, [1], 1)
     u = G.basis_vector(0)
     from gammak0 import identity_map
 
-    t = tower_new([G, G], [identity_map(G)], units=[u, u], mode="interval")
-    ext = extend_tower(t)
-    assert len(ext.levels) == 2
-    assert ext.map_apply(0, ext.levels[0].order_unit()) == ext.levels[1].order_unit()
+    f = identity_map(G)
+    t = tower_new([G, G], [f], units=[u, u], mode="interval")
+    levels = extend_tower(t)
+    assert levels == (ExtendedGroup(base=G, unit=u),) * 2
+    assert push(levels, f, 0, levels[0].order_unit()) == levels[1].order_unit()
 
 
-def test_extend_mult_tower_squares_commute():
+def test_extend_mult_tower_maps_are_positive_and_unital():
     rng = random.Random(119)
     G, t = z2_mult_tower(length=4)
-    ext = extend_tower(t)
-    for n in range(len(t.maps)):
-        for _ in range(8):
-            x = random_vector(rng, G)
-            tpart = (rng.randint(-2, 2), rng.randint(-2, 2))
-            e = ext.levels[n].element(x, tpart)
-            through = ext.map_apply(n, e)
-            assert ext.levels[n + 1].split(through) == (map_apply(t.maps[n], x), tpart)
-            # injection square
-            assert ext.map_apply(n, ext.levels[n].inject(x)) == ext.levels[n + 1].inject(
-                map_apply(t.maps[n], x)
-            )
-    # extension maps carry the order-unit to the order-unit
-    for n in range(len(t.maps)):
-        assert ext.map_apply(n, ext.levels[n].order_unit()) == ext.levels[n + 1].order_unit()
+    levels = extend_tower(t)
+    assert [H.unit for H in levels] == list(t.units)
+    for n, f in enumerate(t.maps):
+        lower, upper = levels[n], levels[n + 1]
+        positives = 0
+        for _ in range(40):
+            e = lower.element(random_vector(rng, G), (rng.randint(0, 2), rng.randint(0, 2)))
+            if lower.cone_contains(e):
+                positives += 1
+                assert upper.cone_contains(push(levels, f, n, e))
+        assert positives > 0
+        assert push(levels, f, n, lower.order_unit()) == upper.order_unit()
 
 
 def test_extend_rejects_non_normal():

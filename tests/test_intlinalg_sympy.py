@@ -55,5 +55,6 @@ def test_kernel_basis_is_the_saturated_rational_nullspace(case):
     sm = Matrix(len(m), ncols, sum(m, []))
     assert len(basis) == ncols - sm.rank()
     lat = hnf(basis, ncols)
+    assert lat == basis
     for vec in sm.nullspace():
         assert lattice_contains(lat, _primitive(vec))

@@ -107,6 +107,11 @@ def test_unperforation_witness_spec_instance():
     assert w.m == 2
     assert w.b == (one - x, one + one - x)
     assert verify_unperforation_witness(G, a, u, w)
+    # rank 0: one zero target with a zero coefficient
+    G0 = simplicial_over(Z2, [], 0)
+    w0 = unperforation_witness(G0, a, G0.zero())
+    assert (w0.m, w0.b, w0.y) == (1, (GroupRingElt.zero(Z2),), (G0.zero(),))
+    assert verify_unperforation_witness(G0, a, G0.zero(), w0)
 
 
 def test_unperforation_trivial_group():
@@ -169,4 +174,4 @@ def test_m1_search_budget_guard():
     G = simplicial_over(g, [], 2)
     a = GroupRingElt.one(g)
     with pytest.raises(ValueError):
-        search_unperforation_witness_m1(G, a, G.zero(), bound=3)
+        search_unperforation_witness_m1(G, a, G.zero())

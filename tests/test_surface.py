@@ -7,6 +7,9 @@ attribute (``x.name``), so a local variable of the same name does not count.
 A definition that only its own unit test reaches is surface that no
 subcommand, acceptance criterion or benchmark runs.  The check is by name, so it can miss an orphan that shares
 its name with something used; it never flags a definition that is used.
+
+Every name that a module of the package (outside ``__init__.py``, which
+re-exports) or of the test suite imports must also be used in that module.
 """
 
 import ast
@@ -62,3 +65,20 @@ def test_every_public_definition_is_reached():
         if name not in (used_as_attr if is_method else used)
     ]
     assert orphans == [], f"public definitions with no caller: {orphans}"
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in _modules() + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unused.extend(
+                    f"{path.relative_to(ROOT)}:{node.lineno} {bound}"
+                    for alias in node.names
+                    if (bound := (alias.asname or alias.name).split(".")[0]) not in used
+                )
+    assert unused == [], f"imported names never used: {unused}"
