@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -145,8 +144,7 @@ def _cmd_realize(args) -> int:
     payload = io.load_problem(args.path, "simplicial")
     group = io.simplicial_from_json(payload)
     if args.unit is not None:
-        unit_data = json.loads(args.unit)
-        unit = io.vector_from_json(group, unit_data, context="--unit")
+        unit = io.vector_from_json(group, io.parse_json(args.unit, "--unit"), context="--unit")
     elif "unit" in payload:
         unit = io.vector_from_json(group, payload["unit"], context="unit")
     else:
@@ -336,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EngineError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+    except (EngineError, ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # a bug, not an answer: exit 1 would read as "false"

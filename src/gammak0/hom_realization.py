@@ -9,6 +9,7 @@ shift cosets.  Towers of groups are realized level by level.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -84,13 +85,14 @@ def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSim
     return RealizedSimplicial(ring=ring, k0=k0, basis_map=identity_map(group))
 
 
-def _slot_classes(ring: MatricialRingDesc, j: int) -> dict[int, list[int]]:
-    """Target component's diagonal slots grouped by projective class coset."""
+def _slot_classes(ring: MatricialRingDesc, j: int) -> dict[int, deque[int]]:
+    """Target component's diagonal slots grouped by projective class coset,
+    each class in increasing slot order."""
     space = ring.space
     G = space.parent
-    slots: dict[int, list[int]] = {}
+    slots: dict[int, deque[int]] = {}
     for l, s in enumerate(ring.components[j].shifts):
-        slots.setdefault(space.elt_to_coset[G.inv[s]], []).append(l)
+        slots.setdefault(space.elt_to_coset[G.inv[s]], deque()).append(l)
     return slots
 
 
@@ -137,7 +139,7 @@ def hom_realizable(
                             raise NotRealizable(
                                 f"target component {j} lacks a slot in class {needed}"
                             )
-                        slot_map.append(pool.pop(0))
+                        slot_map.append(pool.popleft())
                     certificate.append(
                         CopyEmbedding(
                             target_component=j,

@@ -1,8 +1,11 @@
 """JSON schemas for problem files and certificates.
 
 A problem file is ``{"kind": ..., "payload": ...}``.  All loaders raise
-``SchemaError`` with a readable message on malformed input; all dumpers emit
-plain dict/list/int structures so the CLI can serialize them canonically.
+``SchemaError`` with a readable message on malformed input, including JSON
+nested too deeply to decode; all dumpers emit plain dict/list/int structures.
+``dump_json`` writes them canonically: one line of sorted-key JSON with no
+spaces, ending in a newline, which keeps ``json`` on its C encoder.  Pipe the
+output through ``python -m json.tool`` to read it indented.
 """
 
 from __future__ import annotations
@@ -34,13 +37,22 @@ def _need(payload: Any, key: str, context: str) -> Any:
     return payload[key]
 
 
+def parse_json(text: str, context: str) -> Any:
+    """``json.loads`` that reports invalid or too deeply nested input as ``SchemaError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{context}: invalid JSON ({exc})")
+    except RecursionError:
+        raise SchemaError(f"{context}: JSON nested too deeply to decode")
+
+
 def load_problem(path: str | Path, expected_kind: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise SchemaError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})")
+    data = parse_json(text, str(path))
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: problem file must be a JSON object")
     kind = _need(data, "kind", str(path))
@@ -357,4 +369,4 @@ def hom_spec_to_json(spec: HomSpec) -> dict:
 
 
 def dump_json(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"

@@ -11,27 +11,16 @@ ker g1 is non-zero, and (id_source, g1) when g1 is injective, since then
 nothing has to die.  Both legs are positive because g1 is.  The kernel
 lattice of g1 is computed once, to pick the branch; ker g12 = ker g1 then
 holds by construction, since g12 is g1 itself or the identity on the source
-of an injective g1.  The composition g2 * g12 = g1 is checked exactly before
-anything is returned.
+of an injective g1, and g2 * g12 = g1 holds because the other leg is an
+identity map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DeltaNotNormal,
-    InternalVerificationFailed,
-    NotPositiveMap,
-    TargetLacksSdp,
-)
-from .gamma_maps import (
-    GammaLinearMap,
-    identity_map,
-    is_positive_map,
-    kernel_lattice,
-    map_compose,
-)
+from .errors import DeltaNotNormal, NotPositiveMap, TargetLacksSdp
+from .gamma_maps import GammaLinearMap, identity_map, is_positive_map, kernel_lattice
 from .ordered_simplicial import SimplicialGroup
 
 
@@ -59,7 +48,4 @@ def shen_step(g1: GammaLinearMap) -> ShenFactorization:
         g12, g2 = g1, identity_map(tgt)
     else:
         g12, g2 = identity_map(src), g1
-
-    if map_compose(g2, g12) != g1:
-        raise InternalVerificationFailed("composition does not reproduce g1")
     return ShenFactorization(middle=g12.target, g12=g12, g2=g2)

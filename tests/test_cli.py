@@ -318,6 +318,21 @@ def test_bad_group_names_exit_2(tmp_path, capsys, names):
     assert capsys.readouterr().err == "error: group: names must be a list of 2 distinct strings\n"
 
 
+def test_deeply_nested_problem_file_exits_2(tmp_path, capsys):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": "simplicial", "payload": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    assert main(["check-simplicial", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: JSON nested too deeply to decode\n")
+
+
+def test_deeply_nested_unit_flag_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "s.json", "simplicial", simplicial_payload())
+    depth = 5000
+    assert main(["realize", path, "--unit", "[" * depth + "]" * depth]) == 2
+    assert capsys.readouterr() == ("", "error: --unit: JSON nested too deeply to decode\n")
+
+
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     def crash(group):
         raise RuntimeError("boom")

@@ -1,5 +1,7 @@
 """Round trips and schema validation for the JSON formats."""
 
+import json
+
 import pytest
 
 from gammak0 import SchemaError, cyclic_group, dihedral_group, map_new, tower_new
@@ -76,3 +78,12 @@ def test_problem_file_kind_checked(tmp_path):
     path.write_text('{"kind": "nonsense", "payload": {}}', encoding="utf-8")
     with pytest.raises(SchemaError):
         io.load_problem(path, "group")
+
+
+def test_dump_json_is_compact_canonical():
+    data = {"z": {"names": ["é", "σ²"], "mul": [[0, 1], [1, 0]]}, "a": [{"y": -3, "x": "τ"}], "m": None}
+    out = io.dump_json(data)
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert " " not in out
+    assert json.loads(out) == data
