@@ -101,6 +101,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_ints(xs) -> bool:
+    """``_is_int`` for every item, by one type-set test: ``type(True)`` is ``bool``."""
+    return set(map(type, xs)) <= {int}
+
+
 def _passes_light_test(mul: tuple[tuple[int, ...], ...], identity: int) -> bool:
     """Light's associativity test (Clifford and Preston, *The Algebraic Theory
     of Semigroups* I, 1961, section 1.2).
@@ -153,7 +158,7 @@ def group_from_table(
         if len(row) != n:
             raise ValueError("table is not square")
         r = tuple(row)
-        if set(map(type, r)) != {int} or min(r) < 0 or max(r) >= n:
+        if not _all_ints(r) or min(r) < 0 or max(r) >= n:
             for x in row:
                 if not _is_int(x) or x < 0 or x >= n:
                     raise ValueError(f"table entry {x!r} out of range")

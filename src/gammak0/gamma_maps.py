@@ -4,8 +4,11 @@ A map is stored by the images of the basis vectors and by its flat integer
 matrix, whose column for basis vector i at coset c is column i translated by
 the coset representative; the columns being fixed by the source stabilizer
 makes that independent of the representative.  The matrix is built once, so
-applying a map is a sparse mat-vec.  Kernels are computed exactly from the
-same matrix by extracting a lattice basis by normal form.
+applying a map is a sparse mat-vec.  ``map_new`` validates columns that come
+from outside; the identity and composites of validated maps are equivariant
+by construction, so ``identity_map`` and ``map_compose`` build the matrix
+without re-checking.  Kernels are computed exactly from the same matrix by
+extracting a lattice basis by normal form.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ def map_new(
                 raise NotEquivariant(
                     f"column {i} is not fixed by source stabilizer element {delta}"
                 )
+    return _build(source, target, columns)
+
+
+def _build(
+    source: SimplicialGroup,
+    target: SimplicialGroup,
+    columns: Sequence[GammaVector],
+) -> GammaLinearMap:
+    """The map with these columns, which the caller guarantees are valid."""
     n, action = target.space.num_cosets, target.space.action
     matrix = []
     for col in columns:
@@ -61,7 +73,8 @@ def map_new(
 
 
 def identity_map(group: SimplicialGroup) -> GammaLinearMap:
-    return map_new(group, group, group.basis())
+    # the basis vectors sit at coset 0, which is the stabilizer, so it fixes them
+    return _build(group, group, group.basis())
 
 
 def is_positive_map(f: GammaLinearMap) -> bool:
@@ -83,7 +96,8 @@ def map_compose(g: GammaLinearMap, f: GammaLinearMap) -> GammaLinearMap:
     """g after f."""
     if f.target != g.source:
         raise ShapeMismatch("maps do not compose")
-    return map_new(f.source, g.target, [map_apply(g, c) for c in f.columns])
+    # a composite of equivariant maps is equivariant
+    return _build(f.source, g.target, [map_apply(g, c) for c in f.columns])
 
 
 def map_matrix(f: GammaLinearMap) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Hermite normal form, kernels, lattices.
+"""Exact integer linear algebra: Hermite normal form, kernels, lattices, rank.
 
 Everything works on plain lists of Python ints, so arithmetic is exact at any
 size.  Lattices are represented by generating rows; the row-style Hermite
@@ -13,6 +13,10 @@ until only the pivot is nonzero.  Every step subtracts one multiple of the
 current pivot row from another row, with a quotient no larger than the entry
 it clears, and no row is ever scaled, so entries do not compound the way
 they do when each 2x2 step rewrites the pivot row with Bezout cofactors.
+
+The rank over Q needs no lattice at all: fraction-free (Bareiss) elimination
+keeps every entry a minor of the input, so entries stay polynomially bounded
+and every division is exact.
 """
 
 from __future__ import annotations
@@ -82,3 +86,31 @@ def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
         if any(tail):
             basis.append(tail)
     return basis
+
+
+def rank(matrix: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank over Q of ``matrix`` (rows of width ``ncols``).
+
+    Fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968): the pivot is
+    the first nonzero entry of its column, and each update
+    ``(p * x - a * t) // prev`` divides exactly by the previous pivot, since
+    every entry after k steps is a (k+1)-minor of the input.  Zero rows are
+    dropped, and elimination stops once every row is a pivot row.
+    """
+    rows = [list(r) for r in matrix if any(r)]
+    r, prev = 0, 1
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        p = top[col]
+        for i in range(r + 1, len(rows)):
+            a = rows[i][col]
+            rows[i] = [(p * x - a * t) // prev for x, t in zip(rows[i], top)]
+        prev = p
+        r += 1
+    return r

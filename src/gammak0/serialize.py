@@ -16,7 +16,7 @@ from typing import Any
 
 from .errors import SchemaError, ShapeMismatch
 from .extension import ExtendedGroup
-from .finite_group import CosetSpace, FiniteGroup, _is_int, coset_space, group_from_table, subgroup_closure
+from .finite_group import CosetSpace, FiniteGroup, _all_ints, _is_int, coset_space, group_from_table, subgroup_closure
 from .gamma_maps import GammaLinearMap, map_new
 from .graded_matricial import MatricialRingDesc, matricial_ring
 from .group_ring import GroupRingElt
@@ -99,7 +99,7 @@ def group_from_json(payload: dict) -> FiniteGroup:
 def space_from_json(payload: dict, context: str = "simplicial") -> CosetSpace:
     group = group_from_json(_need(payload, "group", context))
     gens = _need(payload, "delta_gens", context)
-    if not isinstance(gens, list) or not all(_is_int(g) for g in gens):
+    if not isinstance(gens, list) or not _all_ints(gens):
         raise SchemaError(f"{context}: delta_gens must be a list of integers")
     try:
         sub = subgroup_closure(group, gens)
@@ -127,12 +127,12 @@ def vector_from_json(group: SimplicialGroup, data: Any, context: str = "vector")
     if not isinstance(data, list):
         raise SchemaError(f"{context}: expected a list")
     nc = group.space.num_cosets
-    if group.rank == 1 and data and all(_is_int(x) for x in data):
+    if group.rank == 1 and data and _all_ints(data):
         data = [data]
     if len(data) != group.rank:
         raise SchemaError(f"{context}: expected {group.rank} coordinates")
     for row in data:
-        if not isinstance(row, list) or len(row) != nc or not all(_is_int(x) for x in row):
+        if not isinstance(row, list) or len(row) != nc or not _all_ints(row):
             raise SchemaError(f"{context}: each coordinate needs {nc} integers")
     return GammaVector(group, tuple(x for row in data for x in row))
 
@@ -212,7 +212,7 @@ def unperf_from_json(payload: dict) -> tuple[SimplicialGroup, GroupRingElt, Gamm
 def tower_from_json(payload: dict) -> Tower:
     space = space_from_json(payload, context="tower")
     ranks = _need(payload, "ranks", "tower")
-    if not isinstance(ranks, list) or not all(_is_int(r) and r >= 0 for r in ranks):
+    if not isinstance(ranks, list) or not _all_ints(ranks) or min(ranks, default=0) < 0:
         raise SchemaError("tower: ranks must be a list of nonnegative integers")
     groups = [SimplicialGroup(space, r) for r in ranks]
     maps_data = _need(payload, "maps", "tower")
@@ -269,7 +269,7 @@ def ring_from_json(payload: dict) -> MatricialRingDesc:
         if (
             not _is_int(size)
             or not isinstance(shifts, list)
-            or not all(_is_int(s) for s in shifts)
+            or not _all_ints(shifts)
         ):
             raise SchemaError("ring: component size/shifts malformed")
         comps.append((size, shifts))
@@ -314,7 +314,7 @@ def ext_elt_from_json(ext: ExtendedGroup, data: Any, context: str = "pair") -> G
     x = vector_from_json(ext.base, _need(data, "x", context), context=context)
     t_data = _need(data, "t", context)
     nc = ext.base.space.num_cosets
-    if not isinstance(t_data, list) or len(t_data) != nc or not all(_is_int(v) for v in t_data):
+    if not isinstance(t_data, list) or len(t_data) != nc or not _all_ints(t_data):
         raise SchemaError(f"{context}: t needs {nc} integers")
     return ext.element(x, t_data)
 

@@ -8,9 +8,11 @@ combination of its basis, so the target with its basis is a decomposition
 witness for every kernel element, and pushing kernel generators through such
 witnesses never leaves the target.  Hence (g12, g2) = (g1, id_target) when
 ker g1 is non-zero, and (id_source, g1) when g1 is injective, since then
-nothing has to die.  Both legs are positive because g1 is.  The kernel
-lattice of g1 is computed once, to pick the branch; ker g12 = ker g1 then
-holds by construction, since g12 is g1 itself or the identity on the source
+nothing has to die.  Both legs are positive because g1 is.  The branch is
+picked by injectivity, which is full column rank over Q: a target of smaller
+flat dimension than the source settles it (rank <= rows), and otherwise one
+fraction-free rank of the flat matrix does.  ker g12 = ker g1 then holds by
+construction, since g12 is g1 itself or the identity on the source
 of an injective g1, and g2 * g12 = g1 holds because the other leg is an
 identity map.
 """
@@ -20,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DeltaNotNormal, NotPositiveMap, TargetLacksSdp
-from .gamma_maps import GammaLinearMap, identity_map, is_positive_map, kernel_lattice
+from .gamma_maps import GammaLinearMap, identity_map, is_positive_map, map_matrix
+from .intlinalg import rank
 from .ordered_simplicial import SimplicialGroup
 
 
@@ -44,8 +47,9 @@ def shen_step(g1: GammaLinearMap) -> ShenFactorization:
     if not is_positive_map(g1):
         raise NotPositiveMap("g1 must be a positive map")
 
-    if kernel_lattice(g1):
-        g12, g2 = g1, identity_map(tgt)
-    else:
+    n = src.flat_dim()
+    if tgt.flat_dim() >= n and rank(map_matrix(g1), n) == n:
         g12, g2 = identity_map(src), g1
+    else:
+        g12, g2 = g1, identity_map(tgt)
     return ShenFactorization(middle=g12.target, g12=g12, g2=g2)

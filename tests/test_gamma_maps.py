@@ -119,6 +119,34 @@ def test_compose():
             assert map_apply(hf, v) == map_apply(h, map_apply(f, v))
 
 
+def test_identity_and_compose_match_map_new():
+    """identity_map and map_compose skip map_new's checks; their maps, flat
+    matrix included (it is not compared by ==), are the ones map_new builds."""
+    rng = random.Random(61)
+    for g, gens in (
+        (cyclic_group(2), []),
+        (cyclic_group(4), [2]),  # normal stabilizer {1, x2}
+        (dihedral_group(3), [1]),  # normal rotation subgroup
+        (dihedral_group(4), [2]),  # normal centre {1, a2}
+        (dihedral_group(3), [3]),  # non-normal stabilizer {1, b}
+    ):
+        A, B, C = (simplicial_over(g, gens, r) for r in (2, 3, 1))
+        for G in (A, B, C):
+            ident = identity_map(G)
+            want = map_new(G, G, G.basis())
+            assert ident == want and ident.matrix == want.matrix
+        for _ in range(4):
+            f = random_positive_map(rng, A, B)
+            h = random_positive_map(rng, B, C)
+            hf = map_compose(h, f)
+            want = map_new(A, C, [map_apply(h, c) for c in f.columns])
+            assert hf == want and hf.matrix == want.matrix
+        with pytest.raises(ShapeMismatch):
+            map_compose(f, h)
+        with pytest.raises(ShapeMismatch):
+            map_compose(f, f)
+
+
 def test_kernel_of_projection_to_point():
     # collapse Z[Z2] onto Z: the kernel is generated by 1 - x
     Z2 = cyclic_group(2)

@@ -1,4 +1,4 @@
-"""Hermite forms and kernel bases against sympy as an independent oracle.
+"""Hermite forms, kernel bases and ranks against sympy as an independent oracle.
 
 sympy's ``hermite_normal_form`` is column-style, so the comparison is between
 lattices: the columns of sympy's form of the transpose must span the same
@@ -8,11 +8,11 @@ lattice as our rows, which the canonical row HNF decides.
 from functools import reduce
 from math import gcd, lcm
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from gammak0.intlinalg import hnf, kernel_basis
+from gammak0.intlinalg import hnf, kernel_basis, rank
 
 from conftest import lattice_contains
 
@@ -58,3 +58,33 @@ def test_kernel_basis_is_the_saturated_rational_nullspace(case):
     assert lat == basis
     for vec in sm.nullspace():
         assert lattice_contains(lat, _primitive(vec))
+
+
+RANK_ENTRIES = st.one_of(ENTRIES, st.integers(-2**64, 2**64))
+
+
+@st.composite
+def rank_deficient_matrices(draw, max_rows=7, max_cols=7):
+    """Independent-looking rows, then combinations of them and zero rows, shuffled."""
+    ncols = draw(st.integers(1, max_cols))
+    row = st.lists(RANK_ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=0, max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+    rows.extend([0] * ncols for _ in range(draw(st.integers(0, 2))))
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(matrices(max_rows=8, max_cols=8), rank_deficient_matrices()))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[0], [0], [0], [0]], 1))
+@example(([[2**64, 0, 1, -10**6]], 4))
+@example(([[2**64, 1], [2**63, 0], [3, 2**64]], 2))
+def test_rank_is_sympys_rank_and_decides_the_kernel(case):
+    m, ncols = case
+    r = rank(m, ncols)
+    assert r == (Matrix(len(m), ncols, sum(m, [])).rank() if m else 0)
+    assert (r < ncols) == bool(kernel_basis(m, ncols))

@@ -1,6 +1,8 @@
 """Kernel-controlled factorization of positive maps."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,11 @@ from gammak0 import (
     map_new,
     shen_step,
 )
+from gammak0.serialize import hom_from_json
 from conftest import random_positive_map, simplicial_over, small_groups, zero_map
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 
 def test_shen_multiplication_by_one_plus_x():
@@ -129,3 +135,17 @@ def test_shen_with_nontrivial_normal_stabilizer():
         fact = shen_step(g1)
         assert map_compose(fact.g2, fact.g12) == g1
         assert kernels_equal(fact.g12, g1)
+
+
+def test_shen_branch_matches_the_kernel_lattice_on_the_benchmark_corpus():
+    """The rank test picks the branch that a non-empty kernel lattice picked."""
+    branches = set()
+    for p in corpus.generate("kernels", 1):
+        if p.cmd != "shen":
+            continue
+        (doc,) = p.files.values()
+        g1 = hom_from_json(doc["payload"])
+        through_target = shen_step(g1).g12 is g1
+        assert through_target == bool(kernel_lattice(g1)), p.pid
+        branches.add(through_target)
+    assert branches == {True, False}
