@@ -94,8 +94,10 @@ def rank(matrix: Sequence[Sequence[int]], ncols: int) -> int:
     Fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968): the pivot is
     the first nonzero entry of its column, and each update
     ``(p * x - a * t) // prev`` divides exactly by the previous pivot, since
-    every entry after k steps is a (k+1)-minor of the input.  Zero rows are
-    dropped, and elimination stops once every row is a pivot row.
+    every entry after k steps is a (k+1)-minor of the input.  A row with a
+    zero in the pivot column is only rescaled by ``p / prev``, and skipped
+    when the two are equal.  Zero rows are dropped, and elimination stops
+    once every row is a pivot row.
     """
     rows = [list(r) for r in matrix if any(r)]
     r, prev = 0, 1
@@ -110,7 +112,8 @@ def rank(matrix: Sequence[Sequence[int]], ncols: int) -> int:
         p = top[col]
         for i in range(r + 1, len(rows)):
             a = rows[i][col]
-            rows[i] = [(p * x - a * t) // prev for x, t in zip(rows[i], top)]
+            if a or p != prev:  # otherwise the update leaves the row as it is
+                rows[i] = [(p * x - a * t) // prev for x, t in zip(rows[i], top)]
         prev = p
         r += 1
     return r

@@ -5,6 +5,12 @@ last map forever.  Colimit-level questions (equality and positivity) are
 answered by pushing representatives forward up to a caller horizon; answers
 are tri-state because equality in a general colimit is only semi-decidable,
 and a negative answer always names the horizon it covers.
+
+On a repeating tower the equality walk stops N + 1 levels after the later
+of its start level and the level where the repeated map T (flat dimension
+N) takes over: by Fitting's lemma T is injective on the image of T^N, so
+neither the zero test nor the kernels of the composites change past that
+level, and the cost of ``colimit_eq`` does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -142,7 +148,19 @@ def colimit_eq(t: Tower, p: ColimitElt, q: ColimitElt, horizon: int) -> ColimitA
     consecutive kernel lattices of the composites from the common start
     level agree (so pushing further cannot newly identify elements in the
     eventually-injective case) and the images still differ, the answer is a
-    definite inequality up to the horizon.  Otherwise unknown.
+    definite inequality up to the horizon.  Otherwise unknown.  Once two
+    consecutive kernels agree no further kernel is computed; only the
+    difference is pushed on.
+
+    On a repeating tower, let s be the later of the start level and the
+    level from which every step is the repeated map T, and N the flat
+    dimension of T.  By Fitting's lemma T is injective on im T^N, so the
+    rank of the composite to level s + j is constant for j >= N; nested
+    saturated kernels of equal rank are equal, so two consecutive kernels
+    agree by level s + N + 1.  Likewise T^j of the difference at level s is
+    zero for some j exactly when T^N of it is.  So no level past
+    s + N + 1 can change the answer, the walk stops there, and the answer
+    still names the horizon.
     """
     start = _start_levels(t, horizon, p, q)
     if isinstance(start, ColimitAnswer):
@@ -151,20 +169,24 @@ def colimit_eq(t: Tower, p: ColimitElt, q: ColimitElt, horizon: int) -> ColimitA
     diff = t.push(p, l0) - t.push(q, l0)
     if diff.is_zero():
         return ColimitAnswer(kind="equal", level=l0)
+    last = h_max
+    if t.repeat_last:
+        s = max(l0, len(t.maps) - 1)
+        last = min(h_max, s + t.groups[-1].flat_dim() + 1)
     prev_kernel: list[list[int]] = []  # composite from l0 to l0 is the identity
     kernels_stabilized = False
     composite = None
     v = diff
-    for level in range(l0 + 1, h_max + 1):
+    for level in range(l0 + 1, last + 1):
         step = t.map_at(level - 1)
-        composite = step if composite is None else map_compose(step, composite)
         v = map_apply(step, v)
         if v.is_zero():
             return ColimitAnswer(kind="equal", level=level)
-        ker = kernel_lattice(composite)
-        if ker == prev_kernel:
-            kernels_stabilized = True
-        prev_kernel = ker
+        if not kernels_stabilized:
+            composite = step if composite is None else map_compose(step, composite)
+            ker = kernel_lattice(composite)
+            kernels_stabilized = ker == prev_kernel
+            prev_kernel = ker
     if kernels_stabilized:
         return ColimitAnswer(kind="not_equal_up_to", level=h_max)
     return ColimitAnswer(kind="unknown", level=h_max, reason="undecided_at_horizon")

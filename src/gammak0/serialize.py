@@ -115,8 +115,11 @@ def space_to_json(space: CosetSpace) -> dict:
 # -- simplicial groups and their elements --------------------------------------
 
 
-def simplicial_from_json(payload: dict) -> SimplicialGroup:
-    space = space_from_json(payload)
+def simplicial_from_json(payload: dict, space: CosetSpace | None = None) -> SimplicialGroup:
+    """The simplicial group of ``payload``; a given ``space`` stands in for its
+    ``group`` and ``delta_gens``, which the caller found equal to that space's JSON."""
+    if space is None:
+        space = space_from_json(payload)
     rank = _need(payload, "rank", "simplicial")
     if not _is_int(rank) or rank < 0:
         raise SchemaError("simplicial: rank must be a nonnegative integer")
@@ -291,11 +294,19 @@ def ring_to_json(ring: MatricialRingDesc) -> dict:
 
 
 def hom_from_json(payload: dict) -> GammaLinearMap:
-    source = simplicial_from_json(_need(payload, "source", "hom"))
+    source_payload = _need(payload, "source", "hom")
+    source = simplicial_from_json(source_payload)
     target_payload = _need(payload, "target", "hom")
-    target = simplicial_from_json(target_payload)
-    if source.space != target.space:
-        raise SchemaError("hom: source and target must share group and stabilizer")
+    # the same JSON text (so 1, 1.0 and true differ) describes the source's checked space
+    if isinstance(target_payload, dict) and all(
+        key in target_payload and json.dumps(target_payload[key]) == json.dumps(source_payload[key])
+        for key in ("group", "delta_gens")
+    ):
+        target = simplicial_from_json(target_payload, source.space)
+    else:
+        target = simplicial_from_json(target_payload)
+        if source.space != target.space:
+            raise SchemaError("hom: source and target must share group and stabilizer")
     return map_from_json(source, target, {"columns": _need(payload, "columns", "hom")})
 
 

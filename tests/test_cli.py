@@ -239,6 +239,22 @@ def test_colimit_eq_not_equal(tmp_path):
     assert main(["--horizon", "1", "colimit-eq", path]) == 1
 
 
+def test_colimit_eq_horizon_of_a_billion_on_a_repeating_tower(tmp_path, capsys):
+    # the repeated map 2*id never identifies e1 with 0; the walk stops after a few levels
+    payload = {
+        "group": z2_payload(),
+        "delta_gens": [],
+        "ranks": [1, 1],
+        "maps": [{"columns": [[[2, 0]]]}],
+        "repeat_last": True,
+        "p": {"level": 0, "value": [[1, 0]]},
+        "q": {"level": 0, "value": [[0, 0]]},
+    }
+    path = write(tmp_path, "t.json", "tower", payload)
+    assert main(["--json", "--horizon", str(10**9), "colimit-eq", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {"kind": "not_equal_up_to", "level": 10**9, "reason": ""}
+
+
 def ext_payload(t=1):
     return {
         "simplicial": {"group": z2_payload(), "delta_gens": [0, 1], "rank": 1},
@@ -366,6 +382,46 @@ def hom_payload(column):
         "target": simplicial_payload(rank=1),
         "columns": [[column]],
     }
+
+
+def hom_with_target(target, source=None):
+    return {"source": source or simplicial_payload(rank=1), "target": target, "columns": [[[1, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ({"group": io.group_to_json(cyclic_group(3)), "delta_gens": [], "rank": 1},
+         "hom: source and target must share group and stabilizer"),
+        (simplicial_payload(rank=1, delta_gens=[1]), "hom: source and target must share group and stabilizer"),
+        # equal to the source's group as Python values, but not as JSON
+        (dict(simplicial_payload(), group=dict(z2_payload(), mul=[[0, True], [True, 0]])),
+         "group: table entry True out of range"),
+        (dict(simplicial_payload(), group=dict(z2_payload(), order=2.0)), "group: order must be an integer"),
+        ({"group": z2_payload(), "delta_gens": []}, "simplicial: missing key 'rank'"),
+        (simplicial_payload(rank=-1), "simplicial: rank must be a nonnegative integer"),
+        (simplicial_payload(rank=True), "simplicial: rank must be a nonnegative integer"),
+        ([], "simplicial: expected an object with key 'group'"),
+    ],
+    ids=["other_group", "other_stabilizer", "table_bool", "order_float", "rank_missing", "rank_negative",
+         "rank_bool", "target_list"],
+)
+def test_hom_target_errors_exit_2(tmp_path, capsys, target, message):
+    path = write(tmp_path, "hom.json", "hom", hom_with_target(target))
+    assert main(["shen", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_hom_target_repeating_the_source_reuses_its_coset_space(monkeypatch):
+    calls = []
+    space_from_json = io.space_from_json
+    monkeypatch.setattr(io, "space_from_json", lambda *a: calls.append(a) or space_from_json(*a))
+    source = {"group": io.group_to_json(cyclic_group(4)), "delta_gens": [0, 2], "rank": 1}
+    same = io.hom_from_json(hom_with_target(source, source))
+    assert len(calls) == 1 and same.target.space is same.source.space
+    # the stabilizer listed in another order is other JSON: it is built again, and accepted
+    reordered = io.hom_from_json(hom_with_target(dict(source, delta_gens=[2, 0]), source))
+    assert len(calls) == 3 and reordered == same
 
 
 def ring_payload(*components):

@@ -83,6 +83,7 @@ def rank_deficient_matrices(draw, max_rows=7, max_cols=7):
 @example(([[0], [0], [0], [0]], 1))
 @example(([[2**64, 0, 1, -10**6]], 4))
 @example(([[2**64, 1], [2**63, 0], [3, 2**64]], 2))
+@example(([[0, 1, 0], [2, 0, 0], [0, 1, 1]], 3))  # rows under the pivot 2 are rescaled, not skipped
 def test_rank_is_sympys_rank_and_decides_the_kernel(case):
     m, ncols = case
     r = rank(m, ncols)

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammak0 import (
+    ColimitAnswer,
     ColimitElt,
     DeltaMismatch,
     NotPositiveMap,
@@ -13,8 +15,11 @@ from gammak0 import (
     colimit_positive,
     cyclic_group,
     dihedral_group,
+    kernel_lattice,
     leq,
+    limits,
     map_apply,
+    map_compose,
     map_new,
     sdp_witness,
     tower_new,
@@ -178,3 +183,123 @@ def test_colimit_zero_relations_admit_witnesses():
         assert total.is_zero()
         w = sdp_witness(t.groups[lvl], a, pushed)
         assert verify_sdp_witness(t.groups[lvl], a, pushed, w)
+
+
+def colimit_eq_every_kernel(t, p, q, horizon):
+    """Reference: the walk that computes the kernel of every composite up to
+    the horizon, on every tower, and reads the flag at the end."""
+    l0 = max(p.level, q.level)
+    h_max = t.max_level(horizon)
+    if l0 > h_max or any(e.level > t.max_level(e.level) for e in (p, q)):
+        return ColimitAnswer(kind="unknown", level=None, reason="horizon_too_small")
+    v = t.push(p, l0) - t.push(q, l0)
+    if v.is_zero():
+        return ColimitAnswer(kind="equal", level=l0)
+    prev_kernel, stabilized, composite = [], False, None
+    for level in range(l0 + 1, h_max + 1):
+        step = t.map_at(level - 1)
+        composite = step if composite is None else map_compose(step, composite)
+        v = map_apply(step, v)
+        if v.is_zero():
+            return ColimitAnswer(kind="equal", level=level)
+        ker = kernel_lattice(composite)
+        if ker == prev_kernel:
+            stabilized = True
+        prev_kernel = ker
+    if stabilized:
+        return ColimitAnswer(kind="not_equal_up_to", level=h_max)
+    return ColimitAnswer(kind="unknown", level=h_max, reason="undecided_at_horizon")
+
+
+def _columns(draw, kind, source, target):
+    """Positive columns of a map of the given kind; the named kinds are endomorphisms."""
+    n = target.space.num_cosets
+    if kind == "nilpotent":  # e_i -> e_{i+1}, the last to 0
+        return [target.basis_vector(i + 1) if i + 1 < target.rank else target.zero() for i in range(source.rank)]
+    if kind == "doubling":
+        return [target.basis_vector(i).scale(2) for i in range(source.rank)]
+    if kind == "idempotent":  # every e_i -> e_0
+        return [target.basis_vector(0) for _ in range(source.rank)]
+    entry = st.integers(0, 2) if kind == "random" else st.sampled_from([0, 0, 0, 1])
+    return [
+        target.element([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(target.rank)])
+        for _ in range(source.rank)
+    ]
+
+
+@st.composite
+def towers_and_queries(draw):
+    repeat = draw(st.booleans())
+    group = draw(st.sampled_from([cyclic_group(1), cyclic_group(2)]))
+    nmaps = draw(st.integers(1, 3))
+    if repeat:
+        ranks = [draw(st.integers(1, 2)) for _ in range(nmaps)]
+        ranks.append(ranks[-1])
+    else:
+        ranks = [draw(st.integers(1, 2)) for _ in range(nmaps + 1)]
+    groups = [simplicial_over(group, [], r) for r in ranks]
+    maps = []
+    for n in range(nmaps):
+        kinds = ["random", "sparse"]
+        if ranks[n] == ranks[n + 1]:
+            kinds += ["nilpotent", "doubling", "idempotent"]
+        kind = draw(st.sampled_from(kinds))
+        maps.append(map_new(groups[n], groups[n + 1], _columns(draw, kind, groups[n], groups[n + 1])))
+    t = tower_new(groups, maps, repeat_last=repeat)
+    top = nmaps + (3 if repeat else 0)
+    n = group.order
+
+    def element(level):
+        g = t.group_at(level)
+        return ColimitElt(level, g.element([draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+                                            for _ in range(g.rank)]))
+
+    p = element(draw(st.integers(0, top)))
+    q = element(draw(st.integers(0, top))) if draw(st.booleans()) else ColimitElt(p.level, p.value.scale(0))
+    # levels up to 6 and N up to 4 keep s + N + 1 at most 11, so horizons fall on both sides
+    return t, p, q, draw(st.integers(0, 16))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(towers_and_queries())
+def test_colimit_eq_matches_the_walk_over_every_kernel(case):
+    t, p, q, horizon = case
+    assert colimit_eq(t, p, q, horizon) == colimit_eq_every_kernel(t, p, q, horizon)
+
+
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(limits, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(limits, name, counted)
+    return counts
+
+
+def test_colimit_eq_stops_computing_kernels_at_the_first_stable_pair(monkeypatch):
+    # the fold e1, e2 -> e1 and then identities: the kernels at levels 1 and 2
+    # agree, so only those two are computed while the difference walks to level 6
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 2)
+    fold = map_new(G, G, [G.basis_vector(0), G.basis_vector(0)])
+    t = tower_new([G] * 7, [fold] + [map_new(G, G, G.basis())] * 5)
+    p = ColimitElt(0, G.element([[1, 0], [0, 0]]))
+    q = ColimitElt(0, G.element([[0, 1], [0, 0]]))
+    counts = _count_calls(monkeypatch, "kernel_lattice", "map_apply")
+    ans = colimit_eq(t, p, q, horizon=6)
+    assert ans == ColimitAnswer(kind="not_equal_up_to", level=6)
+    assert counts == {"kernel_lattice": 2, "map_apply": 6}
+
+
+def test_colimit_eq_cost_does_not_grow_with_the_horizon(monkeypatch):
+    # Z/2 with the repeated map 2*id: s = 0 and N = 2, so at most 3 pushes
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    t = tower_new([G, G], [map_new(G, G, [G.element([[2, 0]])])], repeat_last=True)
+    p, q = ColimitElt(0, G.element([[1, 0]])), ColimitElt(0, G.zero())
+    counts = _count_calls(monkeypatch, "kernel_lattice", "map_apply")
+    ans = colimit_eq(t, p, q, horizon=10**9)
+    assert ans == ColimitAnswer(kind="not_equal_up_to", level=10**9)
+    assert counts["map_apply"] <= 0 + G.flat_dim() + 1
+    assert counts["kernel_lattice"] == 1
