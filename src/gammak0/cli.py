@@ -133,7 +133,7 @@ def _cmd_shen(args) -> int:
         args,
         lambda: [
             f"factored through rank {fact.middle.rank}",
-            "postconditions verified: composition and kernel lattice",
+            "postconditions hold by construction",
         ],
         data,
     )
