@@ -49,7 +49,7 @@ from .finite_group import (
     subgroup_closure,
     trivial_subgroup,
 )
-from .group_ring import GroupRingElt, lift_vector, project_pi
+from .group_ring import GroupRingElt, lift_vector
 from .ordered_simplicial import (
     GammaVector,
     SimplicialGroup,

@@ -4,9 +4,15 @@
 element of the coset module Z[G/H] is a plain tuple of integers indexed by
 the left cosets of H; as a module it is the rank-1 ``SimplicialGroup`` over
 the coset space, which carries its arithmetic and group-ring action.
-``project_pi`` sums coefficients coset-wise; it is the left module map that
-everything else in the engine is built on, and ``lift_vector`` is its
-canonical section.  All coefficients are exact Python ints.
+The projection pi: Z[G] -> Z[G/H] sums coefficients coset-wise; it is the
+left module map that everything else in the engine is built on, and
+``lift_vector`` is its canonical section.  The engine only ever projects
+products, so ``_add_projected_product`` adds pi(a*b) into a coset list term
+by term without building a*b.  All coefficients are exact Python ints.
+
+``GroupRingElt(group, coeffs)`` validates input from outside the engine;
+results of the engine's own arithmetic go through the trusted
+``GroupRingElt._of``, which only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -36,19 +42,28 @@ class GroupRingElt:
         self.group = group
         self.coeffs = data
 
+    @classmethod
+    def _of(cls, group: FiniteGroup, data: dict[int, int]) -> "GroupRingElt":
+        """Trusted constructor: ``data`` maps element indices in range to ints
+        and is not used again by the caller; zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.group = group
+        self.coeffs = {g: k for g, k in data.items() if k}
+        return self
+
     # -- construction helpers --
 
     @staticmethod
     def zero(group: FiniteGroup) -> "GroupRingElt":
-        return GroupRingElt(group, {})
+        return GroupRingElt._of(group, {})
 
     @staticmethod
     def one(group: FiniteGroup) -> "GroupRingElt":
-        return GroupRingElt(group, {group.identity: 1})
+        return GroupRingElt._of(group, {group.identity: 1})
 
     @staticmethod
     def basis(group: FiniteGroup, g: int) -> "GroupRingElt":
-        return GroupRingElt(group, {g: 1})
+        return GroupRingElt._of(group, {g: 1})
 
     # -- queries --
 
@@ -75,20 +90,20 @@ class GroupRingElt:
         data = dict(self.coeffs)
         for g, k in other.coeffs.items():
             data[g] = data.get(g, 0) + k
-        return GroupRingElt(self.group, data)
+        return GroupRingElt._of(self.group, data)
 
     def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
         self._check(other)
         data = dict(self.coeffs)
         for g, k in other.coeffs.items():
             data[g] = data.get(g, 0) - k
-        return GroupRingElt(self.group, data)
+        return GroupRingElt._of(self.group, data)
 
     def __neg__(self) -> "GroupRingElt":
-        return GroupRingElt(self.group, {g: -k for g, k in self.coeffs.items()})
+        return GroupRingElt._of(self.group, {g: -k for g, k in self.coeffs.items()})
 
     def scale(self, k: int) -> "GroupRingElt":
-        return GroupRingElt(self.group, {g: k * v for g, v in self.coeffs.items()})
+        return GroupRingElt._of(self.group, {g: k * v for g, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, GroupRingElt):
@@ -100,7 +115,7 @@ class GroupRingElt:
                 for h, kh in other.coeffs.items():
                     p = row[h]
                     data[p] = data.get(p, 0) + kg * kh
-            return GroupRingElt(self.group, data)
+            return GroupRingElt._of(self.group, data)
         if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
@@ -135,16 +150,19 @@ class GroupRingElt:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def project_pi(a: GroupRingElt, space: CosetSpace) -> tuple[int, ...]:
-    """Coset-wise coefficient sums; the natural left module projection."""
-    if a.group != space.parent:
-        raise GroupMismatch("element and coset space over different groups")
-    out = [0] * space.num_cosets
-    for g, k in a.coeffs.items():
-        out[space.elt_to_coset[g]] += k
-    return tuple(out)
+def _add_projected_product(out: list[int], a: GroupRingElt, b: GroupRingElt, space: CosetSpace) -> None:
+    """out += pi(a*b), the coset-wise sums of a*b, without building a*b."""
+    if a.group != space.parent or b.group != space.parent:
+        raise GroupMismatch("elements and coset space over different groups")
+    mul = space.parent.mul
+    elt_to_coset = space.elt_to_coset
+    b_terms = b.coeffs.items()
+    for g, kg in a.coeffs.items():
+        row = mul[g]
+        for h, kh in b_terms:
+            out[elt_to_coset[row[h]]] += kg * kh
 
 
 def lift_vector(space: CosetSpace, coeffs: Sequence[int]) -> GroupRingElt:
     """Canonical lift: each coset coefficient placed on the canonical representative."""
-    return GroupRingElt(space.parent, {space.reps[c]: k for c, k in enumerate(coeffs) if k})
+    return GroupRingElt._of(space.parent, dict(zip(space.reps, coeffs)))

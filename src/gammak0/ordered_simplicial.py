@@ -5,7 +5,9 @@ whose elements are n-tuples of coset-module elements and whose cone is
 coordinatewise nonnegativity; rank 1 is the coset module itself.  An element
 is stored as one flat tuple of ``rank * cosets`` integers, coordinate i at
 positions ``i*cosets .. i*cosets + cosets - 1``, which makes equality
-canonical and every operation one pass over the tuple.
+canonical and every operation one pass over the tuple.  A group-ring
+element acts by scattering each nonzero entry to its translates, so
+``b * v`` costs nnz(v) times the support of b.
 """
 
 from __future__ import annotations
@@ -103,11 +105,19 @@ class GammaVector:
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, GroupRingElt):
-            if other.group != self.group.space.parent:
+            space = self.group.space
+            if other.group != space.parent:
                 raise GroupMismatch("element and vector over different groups")
+            # scatter: entry (i, c) = a adds k*a at (i, g*c) for every term k*g
+            n = space.num_cosets
+            terms = [(space.action[g], k) for g, k in other.coeffs.items()]
             out = [0] * len(self.flat)
-            for g, k in other.coeffs.items():
-                out = [o + k * a for o, a in zip(out, self._moved(g))]
+            for pos, a in enumerate(self.flat):
+                if a:
+                    start = pos - pos % n
+                    c = pos - start
+                    for moved, k in terms:
+                        out[start + moved[c]] += k * a
             return GammaVector(self.group, tuple(out))
         return NotImplemented
 

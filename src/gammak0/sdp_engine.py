@@ -4,20 +4,23 @@ A simplicial group decomposes every zero relation among cone elements
 through nonnegative group-ring coefficients against its basis; the witness
 records those coefficients.  An unperforation witness for x is the same
 decomposition of x alone, the lifts of its coordinates against the basis:
-project_pi is a module map, so project_pi(a*b_j) is the j-th coordinate of
+the projection pi is a module map, so pi(a*b_j) is the j-th coordinate of
 a*x, nonnegative whenever a*x is positive.  Both witnesses hold by
 construction; the ``verify_*`` functions are the independent checks, and the
-CLI runs them on every witness it emits.
+CLI runs them on every witness it emits.  The projected products those checks
+need are summed coset-wise term by term; the group-ring products themselves
+are never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .errors import NotInCone, NotPositive, ProductNotInCone, RelationNotZero
-from .group_ring import GroupRingElt, lift_vector, project_pi
+from .group_ring import GroupRingElt, _add_projected_product, lift_vector
 from .ordered_simplicial import GammaVector, SimplicialGroup
 
 
@@ -106,10 +109,10 @@ def verify_sdp_witness(group, a: Sequence[GroupRingElt], x: Sequence, w: SdpWitn
             return Verdict(False, f"decomposition_mismatch_row_{i}")
     space = group.space
     for j in range(w.m):
-        col_sum = GroupRingElt.zero(space.parent)
+        col_sum = [0] * space.num_cosets  # pi(sum_i a_i*b_ij)
         for i in range(n):
-            col_sum = col_sum + a[i] * w.b[i][j]
-        if any(project_pi(col_sum, space)):
+            _add_projected_product(col_sum, a[i], w.b[i][j], space)
+        if any(col_sum):
             return Verdict(False, f"column_sum_nonzero_{j}")
     return Verdict(True)
 
@@ -118,7 +121,7 @@ def unperforation_witness(group: SimplicialGroup, a: GroupRingElt, x: GammaVecto
     """Decomposition of x with projected products a*b_j nonnegative.
 
     b_j is the lift of the j-th coordinate of x and y is the basis, so
-    project_pi(a*b_j) is the j-th coordinate of a*x.
+    pi(a*b_j) is the j-th coordinate of a*x.
     """
     if not a.is_positive():
         raise NotPositive("coefficient must lie in the positive cone of the group ring")
@@ -141,7 +144,9 @@ def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) ->
         return Verdict(False, "decomposition_mismatch")
     space = group.space
     for j, bj in enumerate(w.b):
-        if min(project_pi(a * bj, space), default=0) < 0:
+        projected = [0] * space.num_cosets
+        _add_projected_product(projected, a, bj, space)
+        if min(projected) < 0:
             return Verdict(False, f"projected_product_negative_{j}")
     return Verdict(True)
 
@@ -171,8 +176,10 @@ def search_unperforation_witness_m1(group: SimplicialGroup, a: GroupRingElt, x: 
         )
     targets = [x.coord(i) for i in range(group.rank)]
     for b_coeffs in product(range(-bound, bound + 1), repeat=G.order):
-        b = GroupRingElt(G, dict(enumerate(b_coeffs)))
-        if min(project_pi(a * b, space), default=0) < 0:
+        b = GroupRingElt._of(G, dict(enumerate(b_coeffs)))
+        projected = [0] * nc
+        _add_projected_product(projected, a, b, space)
+        if min(projected) < 0:
             continue
         action = [[0] * nc for _ in range(nc)]
         for g, k in b.coeffs.items():
@@ -182,10 +189,10 @@ def search_unperforation_witness_m1(group: SimplicialGroup, a: GroupRingElt, x: 
         for target in targets:
             found = None
             for y_vals in product(range(bound + 1), repeat=nc):
-                if all(
-                    sum(action[d][c] * y_vals[c] for c in range(nc)) == target[d]
-                    for d in range(nc)
-                ):
+                for row, t in zip(action, target):
+                    if sum(map(mul, row, y_vals)) != t:
+                        break
+                else:
                     found = y_vals
                     break
             if found is None:

@@ -163,7 +163,7 @@ def ring_elt_from_json(group: FiniteGroup, data: Any, context: str = "coefficien
         if g < 0 or g >= group.order:
             raise SchemaError(f"{context}: element index {g} out of range")
         parsed[g] = val
-    return GroupRingElt(group, parsed)
+    return GroupRingElt._of(group, parsed)
 
 
 def ring_elt_to_json(a: GroupRingElt) -> dict:

@@ -324,6 +324,42 @@ def act_reference(space: CosetSpace, a: GroupRingElt, coeffs) -> tuple[int, ...]
     return tuple(out)
 
 
+def m1_witness_reference(group: SimplicialGroup, a: GroupRingElt, x: GammaVector):
+    """First (b, ys) in product order with x = b*y coordinatewise, y in the
+    cone and every projected coefficient of a*b nonnegative, over the box of
+    ``search_unperforation_witness_m1``; None when the box holds none.
+
+    Plain brute force from the multiplication table and ``act_reference``:
+    b runs over the coefficient box in ``product`` order and, for each
+    coordinate, y over its box in ``product`` order.  Oracle for the search.
+    """
+    space = group.space
+    G = space.parent
+    nc = space.num_cosets
+    bound = max(map(abs, [*a.coeffs.values(), *x.flat, 0])) + 2
+    for b_coeffs in product(range(-bound, bound + 1), repeat=G.order):
+        b = GroupRingElt(G, dict(enumerate(b_coeffs)))
+        projected = [0] * nc
+        for g, kg in a.coeffs.items():
+            for h, kh in b.coeffs.items():
+                projected[space.elt_to_coset[G.mul[g][h]]] += kg * kh
+        if min(projected) < 0:
+            continue
+        ys = []
+        for i in range(group.rank):
+            target = x.coord(i)
+            y = next(
+                (y for y in product(range(bound + 1), repeat=nc) if act_reference(space, b, y) == target),
+                None,
+            )
+            if y is None:
+                break
+            ys.append(list(y))
+        else:
+            return b, ys
+    return None
+
+
 def rational_rank(m: list[list[int]], ncols: int) -> int:
     """Rank over the rationals by Gaussian elimination, independent of ``intlinalg``."""
     rows = [[Fraction(x) for x in row] for row in m]

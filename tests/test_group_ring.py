@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammak0 import (
     GroupMismatch,
@@ -12,14 +13,27 @@ from gammak0 import (
     cyclic_group,
     dihedral_group,
     lift_vector,
-    project_pi,
     subgroup_closure,
 )
-from conftest import act_reference, random_ring_elt, small_groups, trivial_space
+from gammak0.group_ring import _add_projected_product
+from gammak0.serialize import ring_elt_from_json
+from conftest import act_reference, random_ring_elt, random_space, small_groups, trivial_space
 
 
 def elt(group, mapping):
     return GroupRingElt(group, mapping)
+
+
+def projected_product(a, b, space):
+    """pi(a*b), from the engine's term-by-term sum into a zero coset list."""
+    out = [0] * space.num_cosets
+    _add_projected_product(out, a, b, space)
+    return tuple(out)
+
+
+def project_pi(a, space):
+    """pi(a), the coset-wise coefficient sums, as the projected product a*1."""
+    return projected_product(a, GroupRingElt.one(space.parent), space)
 
 
 def test_zero_divisor_in_z2(z2):
@@ -52,6 +66,10 @@ def test_group_mismatch():
         GroupRingElt.one(g1) + GroupRingElt.one(g2)
     with pytest.raises(GroupMismatch):
         GroupRingElt.one(g1) * GroupRingElt.one(g2)
+    with pytest.raises(GroupMismatch):
+        projected_product(GroupRingElt.one(g1), GroupRingElt.one(g2), trivial_space(g2))
+    with pytest.raises(GroupMismatch):
+        project_pi(GroupRingElt.one(g1), trivial_space(g2))
 
 
 def test_ring_associativity_and_distributivity():
@@ -89,6 +107,15 @@ def test_pi_is_left_module_map():
                 a = random_ring_elt(rng, g)
                 b = random_ring_elt(rng, g)
                 assert project_pi(a * b, cs) == act_reference(cs, a, project_pi(b, cs))
+                assert projected_product(a, b, cs) == project_pi(a * b, cs)
+
+
+def test_projected_product_adds_into_its_list(d3):
+    cs = coset_space(d3, subgroup_closure(d3, [3]))  # {1, b}
+    a, b = elt(d3, {1: 2, 3: -1}), elt(d3, {0: 1, 4: 3})
+    out = [5, -7, 1]
+    _add_projected_product(out, a, b, cs)
+    assert tuple(out) == tuple(s + p for s, p in zip((5, -7, 1), project_pi(a * b, cs)))
 
 
 def test_pi_right_linearity_needs_normal(d3):
@@ -167,3 +194,48 @@ def test_no_stored_zero_coefficients(z2):
     a = elt(z2, {0: 1, 1: 0})
     assert a.coeffs == {0: 1}
     assert (a - a).coeffs == {}
+
+
+GROUPS = small_groups()
+SMALL = st.integers(-2, 2)  # small coefficients make cancellation common
+
+
+@st.composite
+def ring_pairs(draw):
+    g = GROUPS[draw(st.integers(0, len(GROUPS) - 1))]
+    elements = st.integers(0, g.order - 1)
+    a = draw(st.dictionaries(elements, SMALL))
+    b = draw(st.dictionaries(elements, SMALL))
+    return g, a, b, draw(SMALL), draw(elements), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=ring_pairs())
+def test_arithmetic_results_are_canonical(case):
+    """Every result of the arithmetic stores no zero coefficient and equals
+    the element that the validating constructor builds from the same terms
+    (the iterable form sums repeated elements)."""
+    g, ca, cb, k, h, seed = case
+    a, b = GroupRingElt(g, ca), GroupRingElt(g, cb)
+    space = random_space(random.Random(seed), g)
+    coset_coeffs = [(c * 7 + seed) % 5 - 2 for c in range(space.num_cosets)]
+    cases = [
+        (a + b, list(ca.items()) + list(cb.items())),
+        (a - b, list(ca.items()) + [(x, -v) for x, v in cb.items()]),
+        (a + -a, list(ca.items()) + [(x, -v) for x, v in ca.items()]),
+        (a - a, []),
+        (-a, [(x, -v) for x, v in ca.items()]),
+        (a.scale(k), [(x, k * v) for x, v in ca.items()]),
+        (k * a, [(x, k * v) for x, v in ca.items()]),
+        (a * k, [(x, k * v) for x, v in ca.items()]),
+        (a * b, [(g.mul[x][y], u * v) for x, u in ca.items() for y, v in cb.items()]),
+        (GroupRingElt.zero(g), []),
+        (GroupRingElt.one(g), [(g.identity, 1)]),
+        (GroupRingElt.basis(g, h), [(h, 1)]),
+        (lift_vector(space, coset_coeffs), list(zip(space.reps, coset_coeffs))),
+        (ring_elt_from_json(g, {"coeffs": {str(x): v for x, v in ca.items()}}), list(ca.items())),
+    ]
+    for result, terms in cases:
+        assert 0 not in result.coeffs.values()
+        assert all(type(v) is int for v in result.coeffs.values())
+        assert result == GroupRingElt(g, terms)

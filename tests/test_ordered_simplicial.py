@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gammak0 import (
     GroupRingElt,
@@ -17,6 +18,7 @@ from gammak0 import (
     group_stabilizer,
     interpolate,
     is_order_unit,
+    klein_four_group,
     leq,
     riesz_refine,
     subgroup_closure,
@@ -301,3 +303,65 @@ def test_flat_vector_ops_match_coordinate_reference():
                     same(v.translate(h), [translate_reference(space, a, h) for a in cv])
                 coeff = random_ring_elt(rng, g)
                 same(coeff * v, [act_reference(space, coeff, a) for a in cv])
+
+
+# (group, stabilizer generators): trivial, normal and non-normal stabilizers;
+# D3 with {1, b} (b = index 3) is the non-normal case every check must survive.
+ACTION_SPACES = [
+    coset_space(g, subgroup_closure(g, gens))
+    for g, gens in (
+        (cyclic_group(1), []),
+        (cyclic_group(2), []),
+        (cyclic_group(3), []),
+        (cyclic_group(4), [2]),
+        (klein_four_group(), [1]),
+        (dihedral_group(3), []),
+        (dihedral_group(3), [3]),
+        (dihedral_group(3), [1]),
+        (dihedral_group(4), [4]),
+    )
+]
+D3_B = 6  # index of D3 over {1, b} in ACTION_SPACES
+BIG = 2**64
+ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from([BIG, -BIG, BIG + 1]))
+
+
+@st.composite
+def ring_actions(draw):
+    """(space index, coefficients of b, rows of v): v is zero, a single
+    scaled basis vector or dense, of rank 0 to 3."""
+    k = draw(st.integers(0, len(ACTION_SPACES) - 1))
+    space = ACTION_SPACES[k]
+    n = space.num_cosets
+    coeffs = draw(st.dictionaries(st.integers(0, space.parent.order - 1), ENTRIES))
+    rank = draw(st.integers(0, 3))
+    shape = draw(st.sampled_from(["zero", "basis", "dense"]))
+    if shape == "dense":
+        rows = [[draw(ENTRIES) for _ in range(n)] for _ in range(rank)]
+    else:
+        rows = [[0] * n for _ in range(rank)]
+        if shape == "basis" and rank:
+            rows[draw(st.integers(0, rank - 1))][draw(st.integers(0, n - 1))] = draw(ENTRIES.filter(bool))
+    return k, coeffs, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=ring_actions())
+@example(case=(D3_B, {0: 1, 3: -BIG, 4: 2}, [[0, 0, 0], [0, 1, 0]]))  # basis vector
+@example(case=(D3_B, {1: 2, 5: -1}, [[BIG, -BIG, 0], [0, 3, -1]]))  # dense, 64-bit
+@example(case=(D3_B, {2: 3}, [[0, 0, 0], [0, 0, 0]]))  # zero vector
+@example(case=(D3_B, {}, [[BIG, -1, 2]]))  # zero ring element
+@example(case=(D3_B, {0: 1, 2: -BIG}, []))  # rank 0
+def test_ring_action_matches_reference_coordinatewise(case):
+    """b*v, which scatters only the nonzero entries of v, agrees coordinate
+    by coordinate with the action read off the multiplication table."""
+    k, coeffs, rows = case
+    space = ACTION_SPACES[k]
+    b = GroupRingElt(space.parent, coeffs)
+    G = SimplicialGroup(space, len(rows))
+    v = G.element(rows)
+    out = b * v
+    assert out.group == G and len(out.flat) == G.flat_dim()
+    for i, row in enumerate(rows):
+        assert out.coord(i) == act_reference(space, b, row)
+    assert out == sum((v.translate(g).scale(c) for g, c in b.coeffs.items()), G.zero())
