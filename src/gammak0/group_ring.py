@@ -44,8 +44,9 @@ class GroupRingElt:
 
     @classmethod
     def _of(cls, group: FiniteGroup, data: dict[int, int]) -> "GroupRingElt":
-        """Trusted constructor: ``data`` maps element indices in range to ints
-        and is not used again by the caller; zero coefficients are dropped."""
+        """Trusted constructor for the engine's own results: ``data`` maps
+        element indices in range to ints; zero coefficients are dropped and
+        nothing else is checked."""
         self = object.__new__(cls)
         self.group = group
         self.coeffs = {g: k for g, k in data.items() if k}
