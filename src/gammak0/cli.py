@@ -223,9 +223,9 @@ def _cmd_extend(args) -> int:
     data = {
         "levels": len(levels),
         "unit": io.ext_elt_to_json(levels[0], levels[0].order_unit()),
-        "squares_verified": True,
+        "squares_verified": True,  # the squares of f (+) id commute by construction
     }
-    _emit(args, lambda: [f"extended {len(levels)} levels; commuting squares verified"], data)
+    _emit(args, lambda: [f"extended {len(levels)} levels; connecting maps positive by construction"], data)
     return 0
 
 

@@ -211,7 +211,7 @@ def test_extend_command(tmp_path, capsys):
     path = write(tmp_path, "t.json", "tower", tower_payload())
     assert main(["extend", path]) == 0
     out = capsys.readouterr().out
-    assert "commuting squares verified" in out
+    assert "connecting maps positive by construction" in out
 
 
 def test_colimit_eq_command(tmp_path):
