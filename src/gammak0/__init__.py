@@ -71,6 +71,7 @@ from .gamma_maps import (
     map_new,
 )
 from .sdp_engine import (
+    M1Undecided,
     SdpWitness,
     UnperfWitness,
     Verdict,

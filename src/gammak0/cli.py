@@ -1,8 +1,9 @@
 """Command-line front end: load JSON problem files, run checks, emit certificates.
 
 Exit codes: 0 on success or a true answer, 1 on a false or refuted answer,
-2 on any input or validation error, 3 on an internal error (an unexpected
-exception, reported on one line without a traceback).  Reports are
+2 on an undecided answer (``colimit-eq`` unknown, ``unperf-witness --m1``
+undecided) and on any input or validation error, 3 on an internal error (an
+unexpected exception, reported on one line without a traceback).  Reports are
 deterministic for a fixed input; pass --json for machine-readable output and
 --cert to write the certificate of the run, which is the --json output itself
 except under ``unperf-witness --m1``.  The parser is built once per process,
@@ -24,6 +25,7 @@ from .hom_realization import realize_simplicial, realize_tower, verify_hom_spec
 from .limits import colimit_eq
 from .ordered_simplicial import group_stabilizer, is_order_unit
 from .sdp_engine import (
+    M1Undecided,
     sdp_witness,
     search_unperforation_witness_m1,
     unperforation_witness,
@@ -104,11 +106,19 @@ def _cmd_unperf_witness(args) -> int:
         if found is None:
             _emit(
                 args,
-                lambda: ["no single-term witness inside the coefficient box"],
+                lambda: ["no single-term witness: refuted by the augmentation"],
                 {"m1_witness": None},
                 cert=False,
             )
             return 1
+        if isinstance(found, M1Undecided):
+            _emit(
+                args,
+                lambda: [f"undecided: no single-term witness inside the box of bound {found.box}"],
+                {"m1_witness": None, "box": found.box},
+                cert=False,
+            )
+            return 2
         data = io.unperf_witness_to_json(found)
         _emit(args, lambda: ["single-term witness found"], {"m1_witness": data}, cert=False)
         if args.cert:
@@ -289,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unperf-witness", help="unperforation witness for a*x >= 0")
     p.add_argument("path")
-    p.add_argument("--m1", action="store_true", help="bounded single-term search instead")
+    p.add_argument(
+        "--m1",
+        action="store_true",
+        help="single-term witness instead: exit 0 with the witness, 1 when the "
+        "augmentation refutes it, 2 with the searched box when undecided",
+    )
     p.set_defaults(func=_cmd_unperf_witness)
 
     p = sub.add_parser("shen", help="factor a positive map with controlled kernel")

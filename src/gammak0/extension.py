@@ -35,7 +35,7 @@ from .errors import (
 )
 from .group_ring import GroupRingElt, lift_vector
 from .limits import Tower
-from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit
+from .ordered_simplicial import GammaVector, SimplicialGroup, _add_product, is_order_unit
 from .sdp_engine import SdpWitness
 
 
@@ -87,8 +87,9 @@ class ExtendedGroup:
         x, t = self.split(e)
         if min(t, default=0) < 0:
             return False
-        shifted = x + lift_vector(self.space, t) * self.unit
-        return shifted.is_positive()
+        shifted = list(x.flat)
+        _add_product(shifted, lift_vector(self.space, t), self.unit.flat, self.space)
+        return min(shifted, default=0) >= 0
 
 
 def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequence[GammaVector]) -> SdpWitness:
@@ -101,12 +102,12 @@ def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequen
     """
     if len(a) != len(pairs):
         raise RelationNotZero("coefficient and element counts differ")
-    total = ext.zero()
+    total = [0] * ext.carrier.flat_dim()
     for ai, ei in zip(a, pairs):
         if not ext.cone_contains(ei):
             raise NotInCone("relation elements must lie in the extension cone")
-        total = total + ai * ei
-    if not total.is_zero():
+        _add_product(total, ai, ei.flat, ext.space)
+    if any(total):
         raise RelationNotZero("relation does not sum to zero")
 
     base = ext.base

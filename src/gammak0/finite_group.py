@@ -73,8 +73,9 @@ class CosetSpace:
     Coset 0 is the subgroup itself with the identity as representative; the
     other cosets are ordered (and represented) by their smallest element, so
     every downstream construction is reproducible.  ``action[g][c]`` is the
-    index of g * (coset c); it is derived from the other fields and so takes
-    no part in equality or hashing.
+    index of g * (coset c); over the trivial subgroup it is the group's own
+    ``mul`` table.  It is derived from the other fields and so takes no part
+    in equality or hashing.
     """
 
     parent: FiniteGroup
@@ -239,14 +240,20 @@ def coset_space(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
         if elt_to_coset[g] == -1:
             mark(g)  # g is the smallest unassigned element, hence the coset minimum
     assert len(reps) * sub.order == group.order, "Lagrange violated; subgroup not closed?"
-    normal = sub.is_normal()
+    # D is normal iff each h in D fixes every coset: h*g lies in the coset of g
+    coset_of = elt_to_coset.__getitem__
+    normal = all(list(map(coset_of, group.mul[h])) == elt_to_coset for h in mem)
+    if sub.order == 1 and group.identity == 0:  # coset c is element c: g acts by its row
+        action = group.mul
+    else:
+        action = tuple(tuple([elt_to_coset[row[r]] for r in reps]) for row in group.mul)
     return CosetSpace(
         parent=group,
         sub=sub,
         reps=tuple(reps),
         elt_to_coset=tuple(elt_to_coset),
         is_normal=normal,
-        action=tuple(tuple([elt_to_coset[row[r]] for r in reps]) for row in group.mul),
+        action=action,
     )
 
 

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Hermite normal form, kernels, lattices, rank.
+"""Exact integer linear algebra: Hermite normal form, kernels, lattices, rank,
+and unique solutions.
 
 Everything works on plain lists of Python ints, so arithmetic is exact at any
 size.  Lattices are represented by generating rows; the row-style Hermite
@@ -16,7 +17,9 @@ they do when each 2x2 step rewrites the pivot row with Bezout cofactors.
 
 The rank over Q needs no lattice at all: fraction-free (Bareiss) elimination
 keeps every entry a minor of the input, so entries stay polynomially bounded
-and every division is exact.
+and every division is exact.  The same elimination, carried on to a
+right-hand side, decides whether a system has a unique rational solution and
+finds it without leaving the integers.
 """
 
 from __future__ import annotations
@@ -88,18 +91,14 @@ def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     return basis
 
 
-def rank(matrix: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank over Q of ``matrix`` (rows of width ``ncols``).
+def _eliminate(rows: list[list[int]], ncols: int) -> int:
+    """Fraction-free forward elimination of ``rows`` in place; returns the rank.
 
-    Fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968): the pivot is
-    the first nonzero entry of its column, and each update
-    ``(p * x - a * t) // prev`` divides exactly by the previous pivot, since
-    every entry after k steps is a (k+1)-minor of the input.  A row with a
-    zero in the pivot column is only rescaled by ``p / prev``, and skipped
-    when the two are equal.  Zero rows are dropped, and elimination stops
-    once every row is a pivot row.
+    Pivots are taken in the first ``ncols`` columns only; entries past them,
+    such as a right-hand side, are carried through every update.  Afterwards
+    ``rows[:rank]`` is in echelon form and every later row is zero in its
+    first ``ncols`` entries.
     """
-    rows = [list(r) for r in matrix if any(r)]
     r, prev = 0, 1
     for col in range(ncols):
         if r == len(rows):
@@ -117,3 +116,47 @@ def rank(matrix: Sequence[Sequence[int]], ncols: int) -> int:
         prev = p
         r += 1
     return r
+
+
+def rank(matrix: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank over Q of ``matrix`` (rows of width ``ncols``).
+
+    Fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968): the pivot is
+    the first nonzero entry of its column, and each update
+    ``(p * x - a * t) // prev`` divides exactly by the previous pivot, since
+    every entry after k steps is a (k+1)-minor of the input.  A row with a
+    zero in the pivot column is only rescaled by ``p / prev``, and skipped
+    when the two are equal.  Zero rows are dropped, and elimination stops
+    once every row is a pivot row.
+    """
+    return _eliminate([list(r) for r in matrix if any(r)], ncols)
+
+
+def solve_unique(
+    matrix: Sequence[Sequence[int]], rhs: Sequence[int], ncols: int
+) -> tuple[bool, list[int] | None]:
+    """Integral solution z of ``matrix @ z = rhs`` when z is unique over Q.
+
+    Returns ``(False, None)`` when the system has more than one rational
+    solution.  Otherwise returns ``(True, z)`` with the unique solution when
+    it is integral, and ``(True, None)`` when there is no rational solution
+    or the unique one is not integral.  The augmented rows are eliminated as
+    in ``rank``.  With full column rank the last pivot D is the determinant
+    of the pivot rows, so D*z is integral (Cramer's rule) and back
+    substitution in D*z divides exactly.
+    """
+    rows = [[*row, t] for row, t in zip(matrix, rhs) if t or any(row)]
+    r = _eliminate(rows, ncols)
+    if any(row[ncols] for row in rows[r:]):
+        return True, None
+    if r < ncols:
+        return False, None
+    det = rows[ncols - 1][ncols - 1]
+    scaled = [0] * ncols  # det * z
+    for k in range(ncols - 1, -1, -1):
+        row = rows[k]
+        rest = sum(row[j] * scaled[j] for j in range(k + 1, ncols))
+        scaled[k] = (det * row[ncols] - rest) // row[k]
+    if any(s % det for s in scaled):
+        return True, None
+    return True, [s // det for s in scaled]

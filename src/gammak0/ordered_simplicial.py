@@ -7,12 +7,14 @@ is stored as one flat tuple of ``rank * cosets`` integers, coordinate i at
 positions ``i*cosets .. i*cosets + cosets - 1``, which makes equality
 canonical and every operation one pass over the tuple.  A group-ring
 element acts by scattering each nonzero entry to its translates, so
-``b * v`` costs nnz(v) times the support of b.
+``b * v`` costs nnz(v) times the support of b; ``_add_product`` is that
+scatter into a caller's list, so the verifiers sum many products in one list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import GroupMismatch, IndexOutOfRange, NotInCone, PreorderViolated, ShapeMismatch, SumMismatch
@@ -105,19 +107,8 @@ class GammaVector:
         if isinstance(other, int):
             return self.scale(other)
         if isinstance(other, GroupRingElt):
-            space = self.group.space
-            if other.group != space.parent:
-                raise GroupMismatch("element and vector over different groups")
-            # scatter: entry (i, c) = a adds k*a at (i, g*c) for every term k*g
-            n = space.num_cosets
-            terms = [(space.action[g], k) for g, k in other.coeffs.items()]
             out = [0] * len(self.flat)
-            for pos, a in enumerate(self.flat):
-                if a:
-                    start = pos - pos % n
-                    c = pos - start
-                    for moved, k in terms:
-                        out[start + moved[c]] += k * a
+            _add_product(out, other, self.flat, self.group.space)
             return GammaVector(self.group, tuple(out))
         return NotImplemented
 
@@ -156,6 +147,24 @@ class GammaVector:
 
     def __repr__(self) -> str:
         return "GammaVector(" + ", ".join(repr(self.coord(i)) for i in range(self.group.rank)) + ")"
+
+
+def _add_product(out: list[int], b: GroupRingElt, flat: Sequence[int], space: CosetSpace) -> None:
+    """out += b * v for the vector v with entries ``flat`` over ``space``.
+
+    Each nonzero entry (i, c) = e is scattered as k*e to (i, g*c) for every
+    term k*g of b, so a sum of products is one pass per term into one list.
+    """
+    if b.group != space.parent:
+        raise GroupMismatch("element and vector over different groups")
+    n = space.num_cosets
+    terms = [(space.action[g], k) for g, k in b.coeffs.items()]
+    for pos in compress(range(len(flat)), flat):
+        e = flat[pos]
+        start = pos - pos % n
+        c = pos - start
+        for moved, k in terms:
+            out[start + moved[c]] += k * e
 
 
 def leq(x: GammaVector, y: GammaVector) -> bool:

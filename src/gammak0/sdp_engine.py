@@ -7,21 +7,29 @@ decomposition of x alone, the lifts of its coordinates against the basis:
 the projection pi is a module map, so pi(a*b_j) is the j-th coordinate of
 a*x, nonnegative whenever a*x is positive.  Both witnesses hold by
 construction; the ``verify_*`` functions are the independent checks, and the
-CLI runs them on every witness it emits.  The projected products those checks
-need are summed coset-wise term by term; the group-ring products themselves
-are never built.
+CLI runs them on every witness it emits.  Each sum of products b*y those
+checks need is scattered term by term into one list per row, and each
+projected product is summed coset-wise; neither the vectors b*y nor the
+group-ring products are built.
+
+A single-term (m=1) witness need not exist.  The augmentation decides
+refutations exactly where it applies; witnesses are searched for in a
+coefficient box; an instance that neither decides is reported undecided
+together with its box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from math import comb, gcd, prod
 from operator import mul
 from typing import Sequence
 
 from .errors import NotInCone, NotPositive, ProductNotInCone, RelationNotZero
 from .group_ring import GroupRingElt, _add_projected_product, lift_vector
-from .ordered_simplicial import GammaVector, SimplicialGroup
+from .intlinalg import solve_unique
+from .ordered_simplicial import GammaVector, SimplicialGroup, _add_product
 
 
 @dataclass(frozen=True)
@@ -54,12 +62,12 @@ class UnperfWitness:
 def _check_relation(group, a: Sequence[GroupRingElt], x: Sequence) -> None:
     if len(a) != len(x):
         raise RelationNotZero("coefficient and vector counts differ")
-    total = group.zero()
+    total = [0] * group.flat_dim()
     for ai, xi in zip(a, x):
         if not group.cone_contains(xi):
             raise NotInCone("relation vectors must lie in the cone")
-        total = total + ai * xi
-    if not total.is_zero():
+        _add_product(total, ai, xi.flat, group.space)
+    if any(total):
         raise RelationNotZero("relation does not sum to zero")
 
 
@@ -101,13 +109,14 @@ def verify_sdp_witness(group, a: Sequence[GroupRingElt], x: Sequence, w: SdpWitn
     for yj in w.y:
         if not group.cone_contains(yj):
             return Verdict(False, "target_not_in_cone")
-    for i in range(n):
-        total = group.zero()
-        for j in range(w.m):
-            total = total + w.b[i][j] * w.y[j]
-        if total != x[i]:
-            return Verdict(False, f"decomposition_mismatch_row_{i}")
     space = group.space
+    zero = group.zero()
+    for i in range(n):
+        total = [0] * len(zero.flat)
+        for bij, yj in zip(w.b[i], w.y):
+            _add_product(total, bij, yj.flat, space)
+        if x[i] != GammaVector(zero.group, tuple(total)):
+            return Verdict(False, f"decomposition_mismatch_row_{i}")
     for j in range(w.m):
         col_sum = [0] * space.num_cosets  # pi(sum_i a_i*b_ij)
         for i in range(n):
@@ -137,12 +146,13 @@ def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) ->
     for yj in w.y:
         if not group.cone_contains(yj):
             return Verdict(False, "target_not_in_cone")
-    total = group.zero()
-    for bj, yj in zip(w.b, w.y):
-        total = total + bj * yj
-    if total != x:
-        return Verdict(False, "decomposition_mismatch")
     space = group.space
+    zero = group.zero()
+    total = [0] * len(zero.flat)
+    for bj, yj in zip(w.b, w.y):
+        _add_product(total, bj, yj.flat, space)
+    if x != GammaVector(zero.group, tuple(total)):
+        return Verdict(False, "decomposition_mismatch")
     for j, bj in enumerate(w.b):
         projected = [0] * space.num_cosets
         _add_projected_product(projected, a, bj, space)
@@ -151,18 +161,102 @@ def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) ->
     return Verdict(True)
 
 
-M1_BUDGET = 10_000_000  # candidate (b, coordinate, y) triples the m=1 search may try
+# the most (b, coordinate, y) triples the m=1 box search may try, and the most
+# system entries the augmentation may fill over its choices of d and y
+M1_BUDGET = 10_000_000
 
 
-def search_unperforation_witness_m1(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> UnperfWitness | None:
-    """Exhaustive bounded search for a single-term witness x = b*y.
+@dataclass(frozen=True)
+class M1Undecided:
+    """An m=1 instance that neither the augmentation nor the box decides:
+    no single-term witness has every coefficient of b in [-box, box] and
+    every entry of y in [0, box], and none is ruled out beyond that."""
 
-    Coefficients of b and entries of y range over a box bounded by the
-    largest absolute coefficient in the instance plus two.  Since b acts on
-    each coordinate independently, candidates for y are enumerated per
-    coordinate.  This is a desk-scale certificate: a None result refutes
-    witnesses inside the box only.
+    box: int
+
+
+def _compositions(n: int, parts: int):
+    """Every tuple of ``parts`` nonnegative ints with sum n (stars and bars)."""
+    for bars in combinations(range(n + parts - 1), parts - 1):
+        edges = (-1, *bars, n + parts - 1)
+        yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+
+
+def _augmentation_refutes(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> bool:
+    """True when the augmentation proves that x = b*y has no m=1 witness.
+
+    The augmentation eps sums coefficients and is multiplicative:
+    eps(b*y_i) = eps(b)*eps(y_i), with eps(y_i) >= 0 since y is in the cone.
+    If some eps(x_i) is nonzero, then d = eps(b) is a nonzero common divisor
+    of the eps(x_i) with their sign, so mixed signs refute, and so does an
+    x_i != 0 with eps(x_i) = 0, whose y_i is forced to 0.  Otherwise each
+    y_i is a composition of eps(x_i)/d into coset entries.  For each choice
+    of d and the y_i, b solves b*y_i = x_i and eps(b) = d.  The instance is
+    refuted when every choice leaves no integral b, or a unique one with a
+    negative coordinate of pi(a*b).
+
+    False when every eps(x_i) is zero (then d = 0 leaves b free), when some
+    choice leaves b undetermined or passes, and when the choices would fill
+    more than ``M1_BUDGET`` system entries.
     """
+    space = group.space
+    G = space.parent
+    nc = space.num_cosets
+    coords = [x.coord(i) for i in range(group.rank)]
+    masses = [sum(c) for c in coords]
+    live = [i for i, mass in enumerate(masses) if mass]
+    if not live:
+        return False
+    if any(any(c) for c, mass in zip(coords, masses) if not mass):
+        return True
+    if min(masses[i] for i in live) < 0 < max(masses[i] for i in live):
+        return True
+    common = gcd(*(masses[i] for i in live))
+    # at most `common` values of d, and d = 1 has the most compositions
+    choices = common * prod(comb(abs(masses[i]) + nc - 1, nc - 1) for i in live)
+    if choices * (len(live) * nc + 1) * G.order > M1_BUDGET:
+        return False
+    sign = 1 if masses[live[0]] > 0 else -1
+    for d in (sign * k for k in range(1, common + 1) if common % k == 0):
+        for ys in product(*(_compositions(masses[i] // d, nc) for i in live)):
+            matrix, rhs = [], []
+            for i, y in zip(live, ys):
+                block = [[0] * G.order for _ in range(nc)]  # row c: the coset-c entry of b*y_i
+                for g, moved in enumerate(space.action):
+                    for c, k in enumerate(y):
+                        if k:
+                            block[moved[c]][g] += k
+                matrix += block
+                rhs += coords[i]
+            matrix.append([1] * G.order)
+            rhs.append(d)
+            determined, b = solve_unique(matrix, rhs, G.order)
+            if not determined:
+                return False
+            if b is not None:
+                projected = [0] * nc
+                _add_projected_product(projected, a, GroupRingElt._of(G, dict(enumerate(b))), space)
+                if min(projected) >= 0:
+                    return False
+    return True
+
+
+def search_unperforation_witness_m1(
+    group: SimplicialGroup, a: GroupRingElt, x: GammaVector
+) -> UnperfWitness | M1Undecided | None:
+    """Single-term witness x = b*y, None when none exists, or ``M1Undecided``.
+
+    None is an exact refutation by the augmentation (``_augmentation_refutes``),
+    decided before any search.  Witnesses are found by an exhaustive search
+    over a box: coefficients of b in [-B, B] and entries of y in [0, B], with
+    B the largest absolute coefficient in the instance plus two; the first
+    witness in product order is returned.  Since b acts on each coordinate
+    independently, candidates for y are enumerated per coordinate.  An
+    instance that the augmentation does not refute and whose box holds no
+    witness is undecided, reported with its box B.
+    """
+    if _augmentation_refutes(group, a, x):
+        return None
     bound = max(a.max_abs_coeff(), x.max_abs_coeff()) + 2
     G = group.space.parent
     space = group.space
@@ -201,4 +295,4 @@ def search_unperforation_witness_m1(group: SimplicialGroup, a: GroupRingElt, x: 
         else:
             y = group.element(solution)
             return UnperfWitness(m=1, b=(b,), y=(y,))
-    return None
+    return M1Undecided(bound)

@@ -360,6 +360,46 @@ def m1_witness_reference(group: SimplicialGroup, a: GroupRingElt, x: GammaVector
     return None
 
 
+def m1_witness_in_box(group: SimplicialGroup, a: GroupRingElt, x: GammaVector, bound: int) -> bool:
+    """Whether x = b*y coordinatewise for some b with coefficients in
+    [-bound, bound] and y with entries in [0, bound], with every projected
+    coefficient of a*b nonnegative.
+
+    Brute force over b from the multiplication table and ``act_reference``.
+    For each coordinate, y is found by meeting in the middle: the images of
+    every choice of its first half of entries are stored, and each choice of
+    the second half looks up what is left of the target.
+    """
+    space = group.space
+    G = space.parent
+    nc = space.num_cosets
+    units = [tuple(int(c == k) for c in range(nc)) for k in range(nc)]
+    targets = [x.coord(i) for i in range(group.rank)]
+    for b_coeffs in product(range(-bound, bound + 1), repeat=G.order):
+        b = GroupRingElt(G, dict(enumerate(b_coeffs)))
+        projected = [0] * nc
+        for g, kg in a.coeffs.items():
+            for h, kh in b.coeffs.items():
+                projected[space.elt_to_coset[G.mul[g][h]]] += kg * kh
+        if min(projected) < 0:
+            continue
+        cols = [act_reference(space, b, e) for e in units]  # b * (coset k)
+
+        def images(ks):
+            out = set()
+            for ys in product(range(bound + 1), repeat=len(ks)):
+                v = [0] * nc
+                for k, yk in zip(ks, ys):
+                    v = [vi + yk * ci for vi, ci in zip(v, cols[k])]
+                out.add(tuple(v))
+            return out
+
+        low, high = images(range(nc // 2)), images(range(nc // 2, nc))
+        if all(any(tuple(t - h for t, h in zip(target, hv)) in low for hv in high) for target in targets):
+            return True
+    return False
+
+
 def rational_rank(m: list[list[int]], ncols: int) -> int:
     """Rank over the rationals by Gaussian elimination, independent of ``intlinalg``."""
     rows = [[Fraction(x) for x in row] for row in m]

@@ -574,6 +574,40 @@ def test_m1_cert_is_the_bare_witness(tmp_path, capsys):
     assert not cert.exists()
 
 
+def test_m1_exit_codes_name_the_answer(tmp_path, capsys):
+    """Exit 1 only on an exact refutation; an instance that the box cannot
+    decide exits 2 and names its box, with no certificate either way."""
+    cert = tmp_path / "cert.json"
+    z5 = {"order": 5, "mul": [[(i + j) % 5 for j in range(5)] for i in range(5)]}
+    refuted = write(
+        tmp_path,
+        "z5.json",
+        "relation",
+        {
+            "simplicial": {"group": z5, "delta_gens": [], "rank": 2},
+            "a": {"coeffs": {str(g): 1 for g in range(5)}},
+            "x": [[1, -1, 0, 0, 0], [1, 0, 0, 0, 0]],
+        },
+    )
+    # its coefficient box would hold 34,420,736 candidates, past the budget
+    assert main(["--json", "--cert", str(cert), "unperf-witness", refuted, "--m1"]) == 1
+    assert capsys.readouterr().out == '{"m1_witness":null}\n'
+    assert main(["unperf-witness", refuted, "--m1"]) == 1
+    assert capsys.readouterr().out == "no single-term witness: refuted by the augmentation\n"
+    # x = 1 - x has mass 0, so eps(b) = 0 leaves b free: undecided in the box
+    undecided = write(
+        tmp_path,
+        "free.json",
+        "relation",
+        {"simplicial": simplicial_payload(), "a": {"coeffs": {"0": 1, "1": 2}}, "x": [[1, -1]]},
+    )
+    assert main(["--json", "--cert", str(cert), "unperf-witness", undecided, "--m1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"m1_witness": None, "box": 4}
+    assert main(["unperf-witness", undecided, "--m1"]) == 2
+    assert capsys.readouterr().out == "undecided: no single-term witness inside the box of bound 4\n"
+    assert not cert.exists()
+
+
 def fresh_run(argv):
     """Exit code and stdout of ``argv`` as the first call of a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(gammak0.__file__).resolve().parents[1]))

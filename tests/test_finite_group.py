@@ -1,6 +1,7 @@
 """Group tables, subgroups, coset spaces, and normal closures."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +12,11 @@ from gammak0 import (
     NoInverse,
     NotAssociative,
     coset_space,
+    cyclic_group,
     dihedral_group,
+    direct_product,
     group_from_table,
+    klein_four_group,
     normal_closure,
     subgroup_closure,
     trivial_subgroup,
@@ -211,3 +215,94 @@ def test_coset_action_well_defined_on_normal_quotients():
             expected = cs.act(gamma, c)
             for h in d.members:
                 assert cs.act(g.mul[gamma][h], c) == expected
+
+
+def dicyclic_group(n: int):
+    """Dic_n of order 4n: a^i x^j with x a x^-1 = a^-1 and x^2 = a^n, at index
+    i + 2n*j.  Dic_2 is the quaternion group."""
+    m = 2 * n
+
+    def mul(p, q):
+        (j, i), (l, k) = divmod(p, m), divmod(q, m)
+        e = i + (-k if j else k) + (n if j + l == 2 else 0)
+        return e % m + m * ((j + l) % 2)
+
+    return group_from_table([[mul(p, q) for q in range(2 * m)] for p in range(2 * m)])
+
+
+def alternating_group_4():
+    """A4 as the even permutations of four points, composed as maps."""
+    perms = [p for p in permutations(range(4)) if sum(p[i] > p[j] for i in range(4) for j in range(i)) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    return group_from_table([[index[tuple(p[q[k]] for k in range(4))] for q in perms] for p in perms])
+
+
+def groups_up_to_order_12():
+    """One group of each isomorphism type of order at most 12 (24 types)."""
+    c = cyclic_group
+    return [
+        *(c(n) for n in range(1, 13)),
+        klein_four_group(),
+        dihedral_group(3),
+        direct_product(c(2), c(4)),
+        direct_product(c(2), klein_four_group()),
+        dihedral_group(4),
+        dicyclic_group(2),
+        direct_product(c(3), c(3)),
+        dihedral_group(5),
+        direct_product(c(2), c(6)),
+        dihedral_group(6),
+        alternating_group_4(),
+        dicyclic_group(3),
+    ]
+
+
+def relabeled(g, perm):
+    """The same group with element i renamed perm[i]."""
+    n = g.order
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[g.mul[a][b]]
+    return group_from_table(table)
+
+
+def all_subgroups(g):
+    """Every subgroup, grown from the trivial one an element at a time."""
+    found = {(g.identity,): trivial_subgroup(g)}
+    frontier = list(found.values())
+    while frontier:
+        sub = frontier.pop()
+        for h in g.elements():
+            if h not in sub:
+                bigger = subgroup_closure(g, [*sub.members, h])
+                if bigger.members not in found:
+                    found[bigger.members] = bigger
+                    frontier.append(bigger)
+    return list(found.values())
+
+
+def test_coset_space_normality_and_action_on_every_subgroup_up_to_order_12():
+    """Normality against ``Subgroup.is_normal`` and every action entry against
+    the table.  Over the trivial subgroup the action is the table itself, but
+    only while the identity is element 0: relabeled copies with the identity
+    last move the cosets off the element indices."""
+    groups = groups_up_to_order_12()
+    assert sorted(g.order for g in groups) == [1, 2, 3, 4, 4, 5, 6, 6, 7, 8, 8, 8, 8, 8, 9, 9, 10, 10, 11, 12, 12, 12, 12, 12]
+    groups += [relabeled(g, [g.order - 1, *range(1, g.order - 1), 0]) for g in groups if g.order > 1]
+    subgroup_counts = {}
+    for g in groups:
+        subs = all_subgroups(g)
+        subgroup_counts[g] = len(subs)
+        for sub in subs:
+            cs = coset_space(g, sub)
+            assert cs.is_normal == sub.is_normal()
+            for x in g.elements():
+                for c, rep in enumerate(cs.reps):
+                    assert cs.act(x, c) == cs.elt_to_coset[g.mul[x][rep]]
+            if sub.order == 1 and g.identity == 0:
+                assert cs.action is g.mul
+    assert subgroup_counts[alternating_group_4()] == 10  # none of order 6
+    q8 = dicyclic_group(2)
+    assert not q8.is_abelian() and subgroup_counts[q8] == 6
+    assert all(coset_space(q8, sub).is_normal for sub in all_subgroups(q8))

@@ -1,4 +1,5 @@
-"""Hermite forms, kernel bases and ranks against sympy as an independent oracle.
+"""Hermite forms, kernel bases, ranks and unique solutions against sympy as an
+independent oracle.
 
 sympy's ``hermite_normal_form`` is column-style, so the comparison is between
 lattices: the columns of sympy's form of the transpose must span the same
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from gammak0.intlinalg import hnf, kernel_basis, rank
+from gammak0.intlinalg import hnf, kernel_basis, rank, solve_unique
 
 from conftest import lattice_contains
 
@@ -89,3 +90,41 @@ def test_rank_is_sympys_rank_and_decides_the_kernel(case):
     r = rank(m, ncols)
     assert r == (Matrix(len(m), ncols, sum(m, [])).rank() if m else 0)
     assert (r < ncols) == bool(kernel_basis(m, ncols))
+
+
+@st.composite
+def linear_systems(draw):
+    """(matrix, rhs, ncols): rhs is matrix @ z for an integral z, that times
+    a scale (so z may turn rational), or drawn freely."""
+    m, ncols = draw(st.one_of(matrices(max_rows=7, max_cols=6), rank_deficient_matrices(max_cols=6)))
+    kind = draw(st.sampled_from(["image", "scaled", "free"]))
+    if kind == "free":
+        return m, draw(st.lists(ENTRIES, min_size=len(m), max_size=len(m))), ncols
+    z = draw(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols))
+    scale = draw(st.integers(2, 5)) if kind == "scaled" else 1
+    return [[scale * v for v in row] for row in m], [sum(a * b for a, b in zip(row, z)) for row in m], ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+@example(([[2]], [1], 1))  # unique but not integral
+@example(([[2, 0], [0, 3]], [4, 9], 2))
+@example(([[1, 1], [2, 2]], [1, 3], 2))  # no solution and rank deficient
+@example(([[1, 1]], [5], 2))  # a line of solutions
+@example(([[0, 0], [0, 0]], [0, 1], 2))  # zero rows, inconsistent
+@example(([], [], 3))
+@example(([[0, 1], [1, 0], [1, 1]], [2, 3, 5], 2))  # overdetermined, consistent
+@example(([[2**64, 1], [1, 0]], [2**64 + 7, 1], 2))
+def test_solve_unique_matches_sympys_solution_set(case):
+    m, rhs, ncols = case
+    expected = (False, None)  # no rows: every vector solves
+    if m:
+        try:
+            sol, params = Matrix(len(m), ncols, sum(m, [])).gauss_jordan_solve(Matrix(rhs))
+        except ValueError:  # sympy's answer for an inconsistent system
+            expected = (True, None)
+        else:
+            if params.rows == 0:
+                values = list(sol)
+                expected = (True, [int(v) for v in values] if all(v.is_integer for v in values) else None)
+    assert solve_unique(m, rhs, ncols) == expected
