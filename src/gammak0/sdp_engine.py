@@ -166,13 +166,18 @@ def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) ->
 M1_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
 class M1Undecided:
     """An m=1 instance that neither the augmentation nor the box decides:
     no single-term witness has every coefficient of b in [-box, box] and
-    every entry of y in [0, box], and none is ruled out beyond that."""
+    every entry of y in [0, box], and none is ruled out beyond that.
 
-    box: int
+    A plain class: building a dataclass costs about a millisecond at import.
+    """
+
+    __slots__ = ("box",)
+
+    def __init__(self, box: int):
+        self.box = box
 
 
 def _compositions(n: int, parts: int):
@@ -196,8 +201,8 @@ def _augmentation_refutes(group: SimplicialGroup, a: GroupRingElt, x: GammaVecto
     negative coordinate of pi(a*b).
 
     False when every eps(x_i) is zero (then d = 0 leaves b free), when some
-    choice leaves b undetermined or passes, and when the choices would fill
-    more than ``M1_BUDGET`` system entries.
+    choice leaves b undetermined or gives a witness, and when the choices
+    would fill more than ``M1_BUDGET`` system entries.
     """
     space = group.space
     G = space.parent
