@@ -6,8 +6,12 @@ undecided) and on any input or validation error, 3 on an internal error (an
 unexpected exception, reported on one line without a traceback).  Reports are
 deterministic for a fixed input; pass --json for machine-readable output and
 --cert to write the certificate of the run, which is the --json output itself
-except under ``unperf-witness --m1``.  The parser is built once per process,
-so ``main`` may be called repeatedly.
+except under ``unperf-witness --m1``.
+
+One table in ``build_parser`` gives each subcommand its problem kind, handler
+and help; ``main`` loads the problem file and hands its payload to the
+handler.  A witness is emitted only after it passes its own check.  The
+parser is built once per process, so ``main`` may be called repeatedly.
 """
 
 from __future__ import annotations
@@ -51,8 +55,21 @@ def _emit(args, report, data, cert: bool = True) -> None:
         Path(args.cert).write_text(text, encoding="utf-8")
 
 
-def _cmd_check_simplicial(args) -> int:
-    payload = io.load_problem(args.path, "simplicial")
+def _emit_verified(args, check, line, data, cert=None) -> int:
+    """Emit a witness with the one report ``line`` only if its ``check``
+    holds; otherwise write the reason to stderr and return 2, with no report
+    and no certificate.  ``cert``, when given, is written to the --cert path
+    in place of ``data``."""
+    if not check:
+        sys.stderr.write(f"witness failed verification: {check.reason}\n")
+        return 2
+    _emit(args, lambda: [line], data, cert=cert is None)
+    if cert is not None and args.cert:
+        Path(args.cert).write_text(dump_json(cert), encoding="utf-8")
+    return 0
+
+
+def _cmd_check_simplicial(args, payload) -> int:
     group = io.simplicial_from_json(payload)
     space = group.space
     stab = group_stabilizer(group)
@@ -85,21 +102,14 @@ def _cmd_check_simplicial(args) -> int:
     return 0
 
 
-def _cmd_sdp_witness(args) -> int:
-    payload = io.load_problem(args.path, "relation")
+def _cmd_sdp_witness(args, payload) -> int:
     group, a, x = io.relation_from_json(payload)
     w = sdp_witness(group, a, x)
-    check = verify_sdp_witness(group, a, x, w)
-    if not check:
-        sys.stderr.write(f"witness failed verification: {check.reason}\n")
-        return 2
-    data = io.sdp_witness_to_json(w)
-    _emit(args, lambda: [f"decomposition witness with m={w.m}; verified"], data)
-    return 0
+    line = f"decomposition witness with m={w.m}; verified"
+    return _emit_verified(args, verify_sdp_witness(group, a, x, w), line, io.sdp_witness_to_json(w))
 
 
-def _cmd_unperf_witness(args) -> int:
-    payload = io.load_problem(args.path, "relation")
+def _cmd_unperf_witness(args, payload) -> int:
     group, a, x = io.unperf_from_json(payload)
     if args.m1:
         found = search_unperforation_witness_m1(group, a, x)
@@ -119,23 +129,16 @@ def _cmd_unperf_witness(args) -> int:
                 cert=False,
             )
             return 2
+        check = verify_unperforation_witness(group, a, x, found)
         data = io.unperf_witness_to_json(found)
-        _emit(args, lambda: ["single-term witness found"], {"m1_witness": data}, cert=False)
-        if args.cert:
-            Path(args.cert).write_text(dump_json(data), encoding="utf-8")
-        return 0
+        return _emit_verified(args, check, "single-term witness found", {"m1_witness": data}, cert=data)
     w = unperforation_witness(group, a, x)
     check = verify_unperforation_witness(group, a, x, w)
-    if not check:
-        sys.stderr.write(f"witness failed verification: {check.reason}\n")
-        return 2
-    data = io.unperf_witness_to_json(w)
-    _emit(args, lambda: [f"unperforation witness with m={w.m}; verified"], data)
-    return 0
+    line = f"unperforation witness with m={w.m}; verified"
+    return _emit_verified(args, check, line, io.unperf_witness_to_json(w))
 
 
-def _cmd_shen(args) -> int:
-    payload = io.load_problem(args.path, "hom")
+def _cmd_shen(args, payload) -> int:
     g1 = io.hom_from_json(payload)
     fact = shen_step(g1)
     data = io.shen_to_json(fact)
@@ -150,8 +153,7 @@ def _cmd_shen(args) -> int:
     return 0
 
 
-def _cmd_realize(args) -> int:
-    payload = io.load_problem(args.path, "simplicial")
+def _cmd_realize(args, payload) -> int:
     group = io.simplicial_from_json(payload)
     if args.unit is not None:
         unit = io.vector_from_json(group, io.parse_json(args.unit, "--unit"), context="--unit")
@@ -172,8 +174,7 @@ def _cmd_realize(args) -> int:
     return 0
 
 
-def _cmd_realize_tower(args) -> int:
-    payload = io.load_problem(args.path, "tower")
+def _cmd_realize_tower(args, payload) -> int:
     tower = io.tower_from_json(payload)
     realized = realize_tower(tower)
     for n, spec in enumerate(realized.specs):
@@ -194,8 +195,7 @@ def _cmd_realize_tower(args) -> int:
     return 0
 
 
-def _cmd_k0(args) -> int:
-    payload = io.load_problem(args.path, "ring")
+def _cmd_k0(args, payload) -> int:
     ring = io.ring_from_json(payload)
     k0 = k0_of_matricial(ring)
     space = ring.space
@@ -217,8 +217,8 @@ def _cmd_k0(args) -> int:
     return 0
 
 
-def _cmd_graded_iso(args) -> int:
-    first = io.ring_from_json(io.load_problem(args.path, "ring"))
+def _cmd_graded_iso(args, payload) -> int:
+    first = io.ring_from_json(payload)
     second = io.ring_from_json(io.load_problem(args.other, "ring"))
     same = graded_iso(first, second)
     data = {"isomorphic": same}
@@ -226,8 +226,7 @@ def _cmd_graded_iso(args) -> int:
     return 0 if same else 1
 
 
-def _cmd_extend(args) -> int:
-    payload = io.load_problem(args.path, "tower")
+def _cmd_extend(args, payload) -> int:
     tower = io.tower_from_json(payload)
     levels = extend_tower(tower)
     data = {
@@ -239,8 +238,7 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _cmd_ext_sdp(args) -> int:
-    payload = io.load_problem(args.path, "extension")
+def _cmd_ext_sdp(args, payload) -> int:
     ext = io.extension_from_json(payload)
     coeffs = payload.get("coeffs")
     pairs = payload.get("pairs")
@@ -249,17 +247,11 @@ def _cmd_ext_sdp(args) -> int:
     a = [io.ring_elt_from_json(ext.base.space.parent, c) for c in coeffs]
     elts = [io.ext_elt_from_json(ext, p) for p in pairs]
     w = ext_sdp_witness(ext, a, elts)
-    check = verify_sdp_witness(ext, a, elts, w)
-    if not check:
-        sys.stderr.write(f"witness failed verification: {check.reason}\n")
-        return 2
-    data = io.sdp_witness_to_json(w, ext)
-    _emit(args, lambda: [f"extension decomposition witness with m={w.m}; verified"], data)
-    return 0
+    line = f"extension decomposition witness with m={w.m}; verified"
+    return _emit_verified(args, verify_sdp_witness(ext, a, elts, w), line, io.sdp_witness_to_json(w, ext))
 
 
-def _cmd_colimit_eq(args) -> int:
-    payload = io.load_problem(args.path, "tower")
+def _cmd_colimit_eq(args, payload) -> int:
     tower = io.tower_from_json(payload)
     if "p" not in payload or "q" not in payload:
         raise io.SchemaError("tower: colimit-eq needs elements 'p' and 'q'")
@@ -288,59 +280,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=int, default=8, help="level bound for colimit queries"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-simplicial", help="validate a simplicial descriptor")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_check_simplicial)
-
-    p = sub.add_parser("sdp-witness", help="decompose a zero relation")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_sdp_witness)
-
-    p = sub.add_parser("unperf-witness", help="unperforation witness for a*x >= 0")
-    p.add_argument("path")
-    p.add_argument(
+    commands = (  # (name, kind of the problem file, handler, help line)
+        ("check-simplicial", "simplicial", _cmd_check_simplicial, "validate a simplicial descriptor"),
+        ("sdp-witness", "relation", _cmd_sdp_witness, "decompose a zero relation"),
+        ("unperf-witness", "relation", _cmd_unperf_witness, "unperforation witness for a*x >= 0"),
+        ("shen", "hom", _cmd_shen, "factor a positive map with controlled kernel"),
+        ("realize", "simplicial", _cmd_realize, "matricial descriptor for a unit-ed group"),
+        ("realize-tower", "tower", _cmd_realize_tower, "levelwise ring tower for a group tower"),
+        ("k0", "ring", _cmd_k0, "class data of a matricial descriptor"),
+        ("graded-iso", "ring", _cmd_graded_iso, "decide graded isomorphism of two descriptors"),
+        ("extend", "tower", _cmd_extend, "extend an interval-mode tower"),
+        ("ext-sdp-witness", "extension", _cmd_ext_sdp, "decomposition witness in an extension"),
+        ("colimit-eq", "tower", _cmd_colimit_eq, "horizon-bounded colimit equality"),
+    )
+    parsers = {}
+    for name, kind, func, summary in commands:
+        p = parsers[name] = sub.add_parser(name, help=summary, description=summary)
+        p.add_argument("path")
+        p.set_defaults(kind=kind, func=func)
+    parsers["unperf-witness"].add_argument(
         "--m1",
         action="store_true",
         help="single-term witness instead: exit 0 with the witness, 1 when the "
         "augmentation refutes it, 2 with the searched box when undecided",
     )
-    p.set_defaults(func=_cmd_unperf_witness)
-
-    p = sub.add_parser("shen", help="factor a positive map with controlled kernel")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_shen)
-
-    p = sub.add_parser("realize", help="matricial descriptor for a unit-ed group")
-    p.add_argument("path")
-    p.add_argument("--unit", help="order-unit as a JSON vector")
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("realize-tower", help="levelwise ring tower for a group tower")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_realize_tower)
-
-    p = sub.add_parser("k0", help="class data of a matricial descriptor")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_k0)
-
-    p = sub.add_parser("graded-iso", help="decide graded isomorphism of two descriptors")
-    p.add_argument("path")
-    p.add_argument("other")
-    p.set_defaults(func=_cmd_graded_iso)
-
-    p = sub.add_parser("extend", help="extend an interval-mode tower")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_extend)
-
-    p = sub.add_parser("ext-sdp-witness", help="decomposition witness in an extension")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_ext_sdp)
-
-    p = sub.add_parser("colimit-eq", help="horizon-bounded colimit equality")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_colimit_eq)
-
+    parsers["realize"].add_argument("--unit", help="order-unit as a JSON vector")
+    parsers["graded-iso"].add_argument("other")
     return parser
 
 
@@ -348,7 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, io.load_problem(args.path, args.kind))
     except (EngineError, ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2

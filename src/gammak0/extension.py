@@ -26,17 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import (
-    DeltaNotNormal,
-    NotInCone,
-    NotOrderUnit,
-    RelationNotZero,
-    ShapeMismatch,
-)
+from .errors import DeltaNotNormal, NotOrderUnit, ShapeMismatch
 from .group_ring import GroupRingElt, lift_vector
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, _add_product, is_order_unit
-from .sdp_engine import SdpWitness
+from .sdp_engine import SdpWitness, _check_relation
 
 
 @dataclass(frozen=True)
@@ -100,16 +94,7 @@ def ext_sdp_witness(ext: ExtendedGroup, a: Sequence[GroupRingElt], pairs: Sequen
     lifts of the coset parts, whose projected relation sum vanishes with the
     relation itself.
     """
-    if len(a) != len(pairs):
-        raise RelationNotZero("coefficient and element counts differ")
-    total = [0] * ext.carrier.flat_dim()
-    for ai, ei in zip(a, pairs):
-        if not ext.cone_contains(ei):
-            raise NotInCone("relation elements must lie in the extension cone")
-        _add_product(total, ai, ei.flat, ext.space)
-    if any(total):
-        raise RelationNotZero("relation does not sum to zero")
-
+    _check_relation(ext, a, pairs)
     base = ext.base
     m = base.rank
     rows = []

@@ -62,7 +62,7 @@ class UnperfWitness:
 def _check_relation(group, a: Sequence[GroupRingElt], x: Sequence) -> None:
     if len(a) != len(x):
         raise RelationNotZero("coefficient and vector counts differ")
-    total = [0] * group.flat_dim()
+    total = [0] * len(group.zero().flat)
     for ai, xi in zip(a, x):
         if not group.cone_contains(xi):
             raise NotInCone("relation vectors must lie in the cone")

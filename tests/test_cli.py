@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import gammak0
 
-from gammak0.cli import main
+from gammak0.cli import build_parser, main
 from gammak0 import (
     FiniteGroup,
+    GammaVector,
+    UnperfWitness,
     Verdict,
     cyclic_group,
     dihedral_group,
@@ -271,6 +273,21 @@ def test_ext_sdp_command(tmp_path):
     payload = ext_payload()
     path = write(tmp_path, "e.json", "extension", payload)
     assert main(["ext-sdp-witness", path]) == 0
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (dict(ext_payload(), coeffs=[{"coeffs": {"0": 1}}]), "coefficient and vector counts differ"),
+        (ext_payload(t=-1), "relation vectors must lie in the cone"),
+        (ext_payload(t=2), "relation does not sum to zero"),
+    ],
+    ids=["counts", "cone", "sum"],
+)
+def test_ext_sdp_relation_errors_exit_2(tmp_path, capsys, payload, message):
+    path = write(tmp_path, "e.json", "extension", payload)
+    assert main(["ext-sdp-witness", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unwritable_cert_path_exits_2(tmp_path, capsys):
@@ -606,6 +623,62 @@ def test_m1_exit_codes_name_the_answer(tmp_path, capsys):
     assert main(["unperf-witness", undecided, "--m1"]) == 2
     assert capsys.readouterr().out == "undecided: no single-term witness inside the box of bound 4\n"
     assert not cert.exists()
+
+
+def test_m1_witness_is_reverified_before_it_is_emitted(tmp_path, capsys, monkeypatch):
+    search = gammak0.cli.search_unperforation_witness_m1
+
+    def tampered(group, a, x):
+        w = search(group, a, x)
+        y = list(w.y[0].flat)
+        y[0] += 1
+        return UnperfWitness(m=1, b=w.b, y=(GammaVector(group, tuple(y)),))
+
+    monkeypatch.setattr(gammak0.cli, "search_unperforation_witness_m1", tampered)
+    cert = tmp_path / "cert.json"
+    found = write(
+        tmp_path,
+        "found.json",
+        "relation",
+        {"simplicial": simplicial_payload(), "a": {"coeffs": {"0": 1}}, "x": [[1, 0]]},
+    )
+    for flags in ([], ["--json"]):
+        assert main([*flags, "--cert", str(cert), "unperf-witness", found, "--m1"]) == 2
+        assert capsys.readouterr() == ("", "witness failed verification: decomposition_mismatch\n")
+        assert not cert.exists()
+
+
+# the arguments each subcommand takes besides its problem path, and its help line
+SUBCOMMANDS = {
+    "check-simplicial": ([], "validate a simplicial descriptor"),
+    "sdp-witness": ([], "decompose a zero relation"),
+    "unperf-witness": (["--m1"], "unperforation witness for a*x >= 0"),
+    "shen": ([], "factor a positive map with controlled kernel"),
+    "realize": (["--unit", "[1]"], "matricial descriptor for a unit-ed group"),
+    "realize-tower": ([], "levelwise ring tower for a group tower"),
+    "k0": ([], "class data of a matricial descriptor"),
+    "graded-iso": (["other.json"], "decide graded isomorphism of two descriptors"),
+    "extend": ([], "extend an interval-mode tower"),
+    "ext-sdp-witness": ([], "decomposition witness in an extension"),
+    "colimit-eq": ([], "horizon-bounded colimit equality"),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_parses_exactly_its_own_arguments(command, capsys):
+    own, summary = SUBCOMMANDS[command]
+    parser = build_parser()
+    args = parser.parse_args([command, "p.json", *own])
+    assert (args.command, args.path) == (command, "p.json")
+    for extra, _ in SUBCOMMANDS.values():
+        if extra and extra != own:
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args([command, "p.json", *own, *extra])
+            assert exit_.value.code == 2, extra
+    with pytest.raises(SystemExit) as exit_:
+        parser.parse_args([command, "--help"])
+    assert exit_.value.code == 0
+    assert summary in capsys.readouterr().out
 
 
 def fresh_run(argv):

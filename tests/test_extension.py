@@ -166,9 +166,11 @@ def test_ext_sdp_errors():
     G = H.base
     Z2 = G.space.parent
     one = GroupRingElt.one(Z2)
-    with pytest.raises(RelationNotZero):
+    with pytest.raises(RelationNotZero, match="coefficient and vector counts differ"):
+        ext_sdp_witness(H, [one, one], [H.order_unit()])
+    with pytest.raises(RelationNotZero, match="relation does not sum to zero"):
         ext_sdp_witness(H, [one], [H.order_unit()])
-    with pytest.raises(NotInCone):
+    with pytest.raises(NotInCone, match="relation vectors must lie in the cone"):
         ext_sdp_witness(H, [one - one], [H.element(G.element([[-1]]), [0])])
 
 
