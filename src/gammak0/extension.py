@@ -42,9 +42,7 @@ class ExtendedGroup:
     def __post_init__(self):
         if not self.base.space.is_normal:
             raise DeltaNotNormal("extensions require a normal stabilizer")
-        if self.unit.group != self.base:
-            raise ShapeMismatch("unit not in the base group")
-        if not self.base.cone_contains(self.unit) or not is_order_unit(self.base, self.unit):
+        if not is_order_unit(self.base, self.unit):
             raise NotOrderUnit("the interval top must be an order-unit of the base")
         object.__setattr__(self, "carrier", SimplicialGroup(self.base.space, self.base.rank + 1))
 

@@ -2,12 +2,14 @@
 
 Elements are integer indices 0..order-1.  Groups are stored extensionally
 (full multiplication table), which keeps every question exhaustive and
-decidable at the intended scale (order up to a few dozen).
+decidable at the intended scale: the table holds order^2 entries, so groups
+of order up to a few thousand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -57,11 +59,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def is_normal(self) -> bool:
-        G = self.parent
-        mem = set(self.members)
-        return all(G.conjugate(g, h) in mem for g in G.elements() for h in self.members)
-
     def __repr__(self) -> str:
         return f"Subgroup({list(self.members)})"
 
@@ -88,10 +85,6 @@ class CosetSpace:
     @property
     def num_cosets(self) -> int:
         return len(self.reps)
-
-    def act(self, g: int, coset: int) -> int:
-        """Index of g * (coset)."""
-        return self.action[g][coset]
 
     def __repr__(self) -> str:
         return f"CosetSpace(|G|={self.parent.order}, |D|={self.sub.order}, cosets={self.num_cosets})"
@@ -130,15 +123,23 @@ def _passes_light_test(mul: tuple[tuple[int, ...], ...], identity: int) -> bool:
             if mul[row[a]] != through_a(row):
                 return False
         gens.append(a)
-        frontier = [x for x in range(n) if reached[x]]
-        while frontier:
-            row = mul[frontier.pop()]
-            for b in gens:
-                y = row[b]
-                if not reached[y]:
-                    reached[y] = True
-                    frontier.append(y)
+        _close(mul, reached, gens)
     return True
+
+
+def _close(mul: Sequence[Sequence[int]], reached: list[bool], gens: Sequence[int]) -> None:
+    """Mark everything a marked element reaches by right multiplication with
+    ``gens``.  In a finite group, marks that start at the identity end on the
+    subgroup generated by ``gens``: a product of generators reaches the
+    inverse of each one."""
+    frontier = list(compress(range(len(reached)), reached))
+    while frontier:
+        row = mul[frontier.pop()]
+        for b in gens:
+            y = row[b]
+            if not reached[y]:
+                reached[y] = True
+                frontier.append(y)
 
 
 def group_from_table(
@@ -204,21 +205,10 @@ def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     for g in gen_list:
         if g < 0 or g >= group.order:
             raise ValueError(f"generator {g} out of range")
-    members = {group.identity}
-    frontier = list(gen_list)
-    members.update(frontier)
-    while frontier:
-        g = frontier.pop()
-        for h in list(members):
-            for prod in (group.mul[g][h], group.mul[h][g]):
-                if prod not in members:
-                    members.add(prod)
-                    frontier.append(prod)
-        gi = group.inv[g]
-        if gi not in members:
-            members.add(gi)
-            frontier.append(gi)
-    return Subgroup(parent=group, members=tuple(sorted(members)))
+    reached = [False] * group.order
+    reached[group.identity] = True
+    _close(group.mul, reached, gen_list)
+    return Subgroup(parent=group, members=tuple(compress(range(group.order), reached)))
 
 
 def coset_space(group: FiniteGroup, sub: Subgroup) -> CosetSpace:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DeltaMismatch
 from .finite_group import CosetSpace
@@ -58,13 +58,23 @@ def matricial_ring(space: CosetSpace, components: Sequence[tuple[int, Sequence[i
     return MatricialRingDesc(space=space, components=comps)
 
 
+def slot_classes(space: CosetSpace, shifts: Iterable[int], twist: int = 0) -> list[int]:
+    """Class of each slot: the left coset of s^{-1} * (coset ``twist``) for a
+    slot of shift s.  Twist 0 gives a slot's own class, the left coset of
+    s^{-1}, which names the right coset D*s; twist c gives the class that a
+    source slot needs in a copy twisted by c."""
+    action, inv = space.action, space.parent.inv
+    return [action[inv[s]][twist] for s in shifts]
+
+
 def right_coset_counts(space: CosetSpace, comp: MatricialComponent) -> list[int]:
     """Slots of a component per right coset D*s of their shift, indexed by the
     left coset of s^{-1}; the class data below depends on the shifts only
     through these counts."""
     counts = [0] * space.num_cosets
-    for s, k in Counter(comp.shifts).items():
-        counts[space.elt_to_coset[space.parent.inv[s]]] += k
+    distinct = Counter(comp.shifts)
+    for c, k in zip(slot_classes(space, distinct), distinct.values()):
+        counts[c] += k
     return counts
 
 
@@ -78,7 +88,7 @@ def homog_dim(ring: MatricialRingDesc, d: int) -> int:
     at a cost linear in its size.
     """
     space = ring.space
-    moved = [space.act(d, b) for b in range(space.num_cosets)]
+    moved = space.action[d]
     count = 0
     for comp in ring.components:
         m = right_coset_counts(space, comp)

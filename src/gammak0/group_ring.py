@@ -10,14 +10,16 @@ left module map that everything else in the engine is built on, and
 products, so ``_add_projected_product`` adds pi(a*b) into a coset list term
 by term without building a*b.  All coefficients are exact Python ints.
 
-``GroupRingElt(group, coeffs)`` validates input from outside the engine;
-results of the engine's own arithmetic go through the trusted
-``GroupRingElt._of``, which only drops zero coefficients.
+``serialize.ring_elt_from_json`` validates input from outside the engine;
+it and the engine's own arithmetic build through the trusted
+``GroupRingElt._of``, which only drops zero coefficients.  The public
+``GroupRingElt(group, coeffs)`` takes a mapping and checks its element
+indices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import GroupMismatch
 from .finite_group import CosetSpace, FiniteGroup
@@ -28,19 +30,12 @@ class GroupRingElt:
 
     __slots__ = ("group", "coeffs")
 
-    def __init__(self, group: FiniteGroup, coeffs: Mapping[int, int] | Iterable[tuple[int, int]]):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        data: dict[int, int] = {}
-        for g, k in items:
+    def __init__(self, group: FiniteGroup, coeffs: Mapping[int, int]):
+        for g in coeffs:
             if g < 0 or g >= group.order:
                 raise ValueError(f"element index {g} out of range")
-            k = int(k)
-            if k:
-                data[g] = data.get(g, 0) + k
-                if data[g] == 0:
-                    del data[g]
         self.group = group
-        self.coeffs = data
+        self.coeffs = {g: int(k) for g, k in coeffs.items() if int(k)}
 
     @classmethod
     def _of(cls, group: FiniteGroup, data: dict[int, int]) -> "GroupRingElt":

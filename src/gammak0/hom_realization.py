@@ -9,7 +9,7 @@ shift cosets.  Towers of groups are realized level by level.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     UnitMismatch,
 )
 from .gamma_maps import GammaLinearMap, identity_map, is_positive_map, map_apply, map_compose
-from .graded_matricial import K0Data, MatricialComponent, MatricialRingDesc, k0_of_matricial
+from .graded_matricial import K0Data, MatricialComponent, MatricialRingDesc, k0_of_matricial, slot_classes
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit, leq
 from .sdp_engine import Verdict
@@ -66,9 +66,7 @@ def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSim
     """
     space = group.space
     G = space.parent
-    if unit.group != group:
-        raise ShapeMismatch("unit not in the group")
-    if not group.cone_contains(unit) or not is_order_unit(group, unit):
+    if not is_order_unit(group, unit):
         raise NotOrderUnit("every coordinate of the unit must carry positive mass")
     order = sorted(range(space.num_cosets), key=space.reps.__getitem__)
     components = []
@@ -83,17 +81,6 @@ def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSim
     if k0.unit_class != unit:
         raise InternalVerificationFailed("round trip does not reproduce the unit")
     return RealizedSimplicial(ring=ring, k0=k0, basis_map=identity_map(group))
-
-
-def _slot_classes(ring: MatricialRingDesc, j: int) -> dict[int, deque[int]]:
-    """Target component's diagonal slots grouped by projective class coset,
-    each class in increasing slot order."""
-    space = ring.space
-    G = space.parent
-    slots: dict[int, deque[int]] = {}
-    for l, s in enumerate(ring.components[j].shifts):
-        slots.setdefault(space.elt_to_coset[G.inv[s]], deque()).append(l)
-    return slots
 
 
 def hom_realizable(
@@ -121,19 +108,17 @@ def hom_realizable(
     else:
         if not leq(image_unit, k0_s.unit_class):
             raise NotRealizable("image of the unit class exceeds the target capacity")
-    space = source.space
-    G = space.parent
     certificate: list[CopyEmbedding] = []
-    for j in range(target.num_components):
-        available = _slot_classes(target, j)
+    for j, host in enumerate(target.components):
+        available: dict[int, deque[int]] = {}  # target slots by class, in increasing order
+        for l, c in enumerate(slot_classes(target.space, host.shifts)):
+            available.setdefault(c, deque()).append(l)
         for i, comp in enumerate(source.components):
             for coset, mult in enumerate(matrix.columns[i].coord(j)):
+                classes = slot_classes(source.space, comp.shifts, coset) if mult else []
                 for _ in range(mult):
                     slot_map = []
-                    for gk in comp.shifts:
-                        needed = space.elt_to_coset[
-                            G.mul[G.inv[gk]][space.reps[coset]]
-                        ]
+                    for needed in classes:
                         pool = available.get(needed)
                         if not pool:
                             raise NotRealizable(
@@ -164,33 +149,27 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
     ``class_mismatch``, ``matrix_coverage`` or ``unital_coverage``.
     """
     space = spec.source.space
-    G = space.parent
+    target_classes = [slot_classes(space, comp.shifts) for comp in spec.target.components]
     used: dict[int, set[int]] = {}
-    demanded: dict[tuple[int, int], list[int]] = {}
+    demanded: Counter[tuple[int, int, int]] = Counter()
     for copy in spec.certificate:
         j, i = copy.target_component, copy.source_component
         comp = spec.source.components[i]
         if len(copy.slot_map) != comp.size:
             return Verdict(False, "slot_count")
         taken = used.setdefault(j, set())
-        for gk, l in zip(comp.shifts, copy.slot_map):
+        for needed, l in zip(slot_classes(space, comp.shifts, copy.twist_coset), copy.slot_map):
             if l in taken:
                 return Verdict(False, "reused_slot")
             taken.add(l)
-            slot_shift = spec.target.components[j].shifts[l]
-            slot_class = space.elt_to_coset[G.inv[slot_shift]]
-            needed = space.elt_to_coset[G.mul[G.inv[gk]][space.reps[copy.twist_coset]]]
-            if slot_class != needed:
+            if target_classes[j][l] != needed:
                 return Verdict(False, "class_mismatch")
-        demanded.setdefault((i, j), []).append(copy.twist_coset)
-    for i in range(spec.source.num_components):
-        for j in range(spec.target.num_components):
-            got = sorted(demanded.get((i, j), []))
-            want = []
-            for coset, mult in enumerate(spec.matrix.columns[i].coord(j)):
-                want.extend([coset] * mult)
-            if got != want:
-                return Verdict(False, "matrix_coverage")
+        demanded[i, j, copy.twist_coset] += 1
+    nc = space.num_cosets
+    columns = spec.matrix.columns
+    entries = {(i, *divmod(pos, nc)): k for i, col in enumerate(columns) for pos, k in enumerate(col.flat) if k}
+    if demanded != entries:
+        return Verdict(False, "matrix_coverage")
     if spec.unital:
         for j in range(spec.target.num_components):
             covered = used.get(j, set())

@@ -70,8 +70,9 @@ class SimplicialGroup:
 class GammaVector:
     """Element of a simplicial group, stored as one flat tuple of ints.
 
-    The constructor trusts its arguments; ``SimplicialGroup.element``
-    validates input from outside the engine.
+    The constructor trusts its arguments.  ``serialize.vector_from_json``
+    validates input from outside the engine, and ``SimplicialGroup.element``
+    checks the shape of coordinates given in code.
     """
 
     __slots__ = ("group", "flat")
@@ -173,15 +174,14 @@ def leq(x: GammaVector, y: GammaVector) -> bool:
 
 
 def is_order_unit(group: SimplicialGroup, u: GammaVector) -> bool:
-    """True when every coordinate of u carries some positive coset mass.
+    """True when u lies in the cone and every coordinate carries some
+    positive coset mass.
 
     Transitivity of the coset action makes this equivalent to u dominating
     every basis element up to translates; the test suite cross-checks the
     equivalence against a bounded search over dominating coefficients.
     """
-    if not group.cone_contains(u):
-        raise NotInCone("order-unit candidates must lie in the cone")
-    return all(any(u.coord(i)) for i in range(group.rank))
+    return group.cone_contains(u) and all(any(u.coord(i)) for i in range(group.rank))
 
 
 def _slotwise(x: GammaVector, y: GammaVector, fn) -> GammaVector:
@@ -238,9 +238,6 @@ def group_stabilizer(group: SimplicialGroup) -> Subgroup:
     G = group.space.parent
     if group.rank == 0:
         return Subgroup(parent=G, members=tuple(range(G.order)))
-    members = [
-        g
-        for g in G.elements()
-        if all(group.space.act(g, c) == c for c in range(group.space.num_cosets))
-    ]
-    return Subgroup(parent=G, members=tuple(sorted(members)))
+    action = group.space.action
+    fixed = action[G.identity]
+    return Subgroup(parent=G, members=tuple(g for g, row in enumerate(action) if row == fixed))

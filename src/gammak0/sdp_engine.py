@@ -13,9 +13,9 @@ projected product is summed coset-wise; neither the vectors b*y nor the
 group-ring products are built.
 
 A single-term (m=1) witness need not exist.  The augmentation decides
-refutations exactly where it applies; witnesses are searched for in a
-coefficient box; an instance that neither decides is reported undecided
-together with its box.
+refutations exactly where it applies and meets some witnesses on the way;
+witnesses are searched for in a coefficient box first; an instance that
+neither decides is reported undecided together with its box.
 """
 
 from __future__ import annotations
@@ -187,8 +187,9 @@ def _compositions(n: int, parts: int):
         yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
 
 
-def _augmentation_refutes(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> bool:
-    """True when the augmentation proves that x = b*y has no m=1 witness.
+def _augmentation(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> tuple[bool, UnperfWitness | None]:
+    """(refuted, witness): True when the augmentation proves that x = b*y has
+    no m=1 witness; else the first witness it meets, or None.
 
     The augmentation eps sums coefficients and is multiplicative:
     eps(b*y_i) = eps(b)*eps(y_i), with eps(y_i) >= 0 since y is in the cone.
@@ -196,13 +197,15 @@ def _augmentation_refutes(group: SimplicialGroup, a: GroupRingElt, x: GammaVecto
     of the eps(x_i) with their sign, so mixed signs refute, and so does an
     x_i != 0 with eps(x_i) = 0, whose y_i is forced to 0.  Otherwise each
     y_i is a composition of eps(x_i)/d into coset entries.  For each choice
-    of d and the y_i, b solves b*y_i = x_i and eps(b) = d.  The instance is
-    refuted when every choice leaves no integral b, or a unique one with a
-    negative coordinate of pi(a*b).
+    of d and the y_i, b solves b*y_i = x_i and eps(b) = d; over one coset b
+    acts only through eps(b), so b = d*1 stands for every solution.  A unique
+    integral b with pi(a*b) >= 0 is a witness.  The instance is refuted when
+    every choice leaves no integral b, or a unique one with a negative
+    coordinate of pi(a*b).
 
-    False when every eps(x_i) is zero (then d = 0 leaves b free), when some
-    choice leaves b undetermined or gives a witness, and when the choices
-    would fill more than ``M1_BUDGET`` system entries.
+    Neither when every eps(x_i) is zero (then d = 0 leaves b free), when
+    some choice leaves b undetermined before a witness is met, and when the
+    choices would fill more than ``M1_BUDGET`` system entries.
     """
     space = group.space
     G = space.parent
@@ -211,18 +214,19 @@ def _augmentation_refutes(group: SimplicialGroup, a: GroupRingElt, x: GammaVecto
     masses = [sum(c) for c in coords]
     live = [i for i, mass in enumerate(masses) if mass]
     if not live:
-        return False
+        return False, None
     if any(any(c) for c, mass in zip(coords, masses) if not mass):
-        return True
+        return True, None
     if min(masses[i] for i in live) < 0 < max(masses[i] for i in live):
-        return True
+        return True, None
     common = gcd(*(masses[i] for i in live))
     # at most `common` values of d, and d = 1 has the most compositions
     choices = common * prod(comb(abs(masses[i]) + nc - 1, nc - 1) for i in live)
     if choices * (len(live) * nc + 1) * G.order > M1_BUDGET:
-        return False
+        return False, None
     sign = 1 if masses[live[0]] > 0 else -1
     for d in (sign * k for k in range(1, common + 1) if common % k == 0):
+        scalar = [d * (g == G.identity) for g in G.elements()]  # b = d*1
         for ys in product(*(_compositions(masses[i] // d, nc) for i in live)):
             matrix, rhs = [], []
             for i, y in zip(live, ys):
@@ -235,15 +239,18 @@ def _augmentation_refutes(group: SimplicialGroup, a: GroupRingElt, x: GammaVecto
                 rhs += coords[i]
             matrix.append([1] * G.order)
             rhs.append(d)
-            determined, b = solve_unique(matrix, rhs, G.order)
+            determined, b = solve_unique(matrix, rhs, G.order) if nc > 1 else (True, scalar)
             if not determined:
-                return False
+                return False, None
             if b is not None:
+                b = GroupRingElt._of(G, dict(enumerate(b)))
                 projected = [0] * nc
-                _add_projected_product(projected, a, GroupRingElt._of(G, dict(enumerate(b))), space)
+                _add_projected_product(projected, a, b, space)
                 if min(projected) >= 0:
-                    return False
-    return True
+                    chosen = dict(zip(live, ys))
+                    y = group.element([chosen.get(i, [0] * nc) for i in range(group.rank)])
+                    return False, UnperfWitness(m=1, b=(b,), y=(y,))
+    return True, None
 
 
 def search_unperforation_witness_m1(
@@ -251,16 +258,18 @@ def search_unperforation_witness_m1(
 ) -> UnperfWitness | M1Undecided | None:
     """Single-term witness x = b*y, None when none exists, or ``M1Undecided``.
 
-    None is an exact refutation by the augmentation (``_augmentation_refutes``),
+    None is an exact refutation by the augmentation (``_augmentation``),
     decided before any search.  Witnesses are found by an exhaustive search
     over a box: coefficients of b in [-B, B] and entries of y in [0, B], with
     B the largest absolute coefficient in the instance plus two; the first
     witness in product order is returned.  Since b acts on each coordinate
-    independently, candidates for y are enumerated per coordinate.  An
-    instance that the augmentation does not refute and whose box holds no
-    witness is undecided, reported with its box B.
+    independently, candidates for y are enumerated per coordinate.  When the
+    box holds no witness, or is past ``M1_BUDGET``, the witness that the
+    augmentation met is returned; failing that, the instance is undecided,
+    reported with its box B, or past the budget a ``ValueError``.
     """
-    if _augmentation_refutes(group, a, x):
+    refuted, met = _augmentation(group, a, x)
+    if refuted:
         return None
     bound = max(a.max_abs_coeff(), x.max_abs_coeff()) + 2
     G = group.space.parent
@@ -269,6 +278,8 @@ def search_unperforation_witness_m1(
     b_count = (2 * bound + 1) ** G.order
     y_count = (bound + 1) ** nc
     if b_count * max(1, group.rank) * y_count > M1_BUDGET:
+        if met is not None:
+            return met
         raise ValueError(
             f"search space {b_count * max(1, group.rank) * y_count} exceeds "
             f"budget {M1_BUDGET}; reduce the instance"
@@ -283,7 +294,7 @@ def search_unperforation_witness_m1(
         action = [[0] * nc for _ in range(nc)]
         for g, k in b.coeffs.items():
             for c in range(nc):
-                action[space.act(g, c)][c] += k
+                action[space.action[g][c]][c] += k
         solution = []
         for target in targets:
             found = None
@@ -300,4 +311,4 @@ def search_unperforation_witness_m1(
         else:
             y = group.element(solution)
             return UnperfWitness(m=1, b=(b,), y=(y,))
-    return M1Undecided(bound)
+    return met or M1Undecided(bound)

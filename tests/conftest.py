@@ -102,6 +102,20 @@ def reference_group_from_table(table) -> FiniteGroup:
     return FiniteGroup(order=n, mul=mul, identity=identity, inv=tuple(inv))
 
 
+def is_normal_by_conjugation(sub: Subgroup) -> bool:
+    """Normality by brute-force conjugation, independent of ``coset_space``."""
+    G = sub.parent
+    return all(G.conjugate(g, h) in sub.members for g in G.elements() for h in sub.members)
+
+
+def ring_elt_from_terms(group: FiniteGroup, terms) -> GroupRingElt:
+    """The element sum of k*g over the terms (g, k); repeated g add up."""
+    coeffs: dict[int, int] = {}
+    for g, k in terms:
+        coeffs[g] = coeffs.get(g, 0) + k
+    return GroupRingElt(group, coeffs)
+
+
 def random_subgroup(rng: random.Random, group: FiniteGroup) -> Subgroup:
     k = rng.randrange(0, 3)
     gens = [rng.randrange(group.order) for _ in range(k)]

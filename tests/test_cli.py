@@ -625,6 +625,47 @@ def test_m1_exit_codes_name_the_answer(tmp_path, capsys):
     assert not cert.exists()
 
 
+def test_m1_answers_decided_by_the_augmentation(tmp_path, capsys):
+    """The augmentation's own answers through the CLI: a refutation by its
+    linear solve, a witness it meets where the box is past the budget, and a
+    refutation over a single coset, where b acts through eps(b) alone."""
+    cert = tmp_path / "cert.json"
+    z5_table = {"order": 5, "mul": [[(i + j) % 5 for j in range(5)] for i in range(5)]}
+    z5 = {"group": z5_table, "delta_gens": [], "rank": 1}
+    x = [[2, -1, 0, 0, 0]]
+    # a = 1: the lone b = x*g^-c for each target e_c has a negative projection
+    solved = write(tmp_path, "solved.json", "relation", {"simplicial": z5, "a": {"coeffs": {"0": 1}}, "x": x})
+    assert main(["--json", "--cert", str(cert), "unperf-witness", solved, "--m1"]) == 1
+    assert capsys.readouterr().out == '{"m1_witness":null}\n'
+    assert not cert.exists()
+    # a = the sum of Z/5: b = 2g - g^2 with y = e_4, its box of 184,528,125 candidates unsearched
+    total = {"coeffs": {str(g): 1 for g in range(5)}}
+    met = write(tmp_path, "met.json", "relation", {"simplicial": z5, "a": total, "x": x})
+    assert main(["--json", "--cert", str(cert), "unperf-witness", met, "--m1"]) == 0
+    witness = json.loads(capsys.readouterr().out)["m1_witness"]
+    assert witness == {"m": 1, "b": [{"coeffs": {"1": 2, "2": -1}}], "y": [[[0, 0, 0, 0, 1]]]}
+    assert cert.read_text(encoding="utf-8") == io.dump_json(witness)
+    group = io.simplicial_from_json(z5)
+    G = group.space.parent
+    w = UnperfWitness(
+        m=1,
+        b=(io.ring_elt_from_json(G, witness["b"][0]),),
+        y=(io.vector_from_json(group, witness["y"][0]),),
+    )
+    assert verify_unperforation_witness(group, io.ring_elt_from_json(G, total), io.vector_from_json(group, x), w)
+    cert.unlink()
+    # over Z/2 with one coset, eps(b) = -1 is forced and pi(a*b) = eps(a)*eps(b) = -1
+    single = write(
+        tmp_path,
+        "single.json",
+        "relation",
+        {"simplicial": simplicial_payload(delta_gens=[1]), "a": {"coeffs": {"0": 1}}, "x": [[-1]]},
+    )
+    assert main(["--json", "--cert", str(cert), "unperf-witness", single, "--m1"]) == 1
+    assert capsys.readouterr().out == '{"m1_witness":null}\n'
+    assert not cert.exists()
+
+
 def test_m1_witness_is_reverified_before_it_is_emitted(tmp_path, capsys, monkeypatch):
     search = gammak0.cli.search_unperforation_witness_m1
 

@@ -188,9 +188,12 @@ def test_m1_augmentation_refutes_by_each_rule():
     for rows in ([[1, 0, 0, 0, 0], [-1, 0, 0, 0, 0]], [[1, -1, 0, 0, 0], [1, 0, 0, 0, 0]]):
         assert search_unperforation_witness_m1(G2, total, G2.element(rows)) is None
     assert search_unperforation_witness_m1(G1, GroupRingElt.one(g), G1.element([[2, -1, 0, 0, 0]])) is None
-    # the same x with a = the sum of Z/5 has the witness b = x, y = e_0; its box is too big
-    with pytest.raises(ValueError):
-        search_unperforation_witness_m1(G1, total, G1.element([[2, -1, 0, 0, 0]]))
+    # the same x with a = the sum of Z/5: its box is too big, and the augmentation's
+    # first composition y = e_4 meets the witness b = 2g - g^2
+    x = G1.element([[2, -1, 0, 0, 0]])
+    found = search_unperforation_witness_m1(G1, total, x)
+    assert found == UnperfWitness(m=1, b=(GroupRingElt(g, {1: 2, 2: -1}),), y=(G1.element([[0, 0, 0, 0, 1]]),))
+    assert verify_unperforation_witness(G1, total, x, found)
 
 
 def test_m1_search_finds_easy_witness():
@@ -288,7 +291,8 @@ def test_m1_search_matches_brute_force_on_every_z2_rank1_instance(gens):
     """Every a and x with entries in [-2, 2] over Z/2, rank 1, trivial and
     full stabilizer: the same first witness, or none in the box.  Over the
     trivial stabilizer the augmentation refutes 264 of the 384 instances
-    without a witness; over the full one b is never determined, so none."""
+    without a witness; over the full one b acts through eps(b) alone, and
+    the augmentation refutes all 40 of its 125 instances without a witness."""
     Z2 = cyclic_group(2)
     G = simplicial_over(Z2, gens, 1)
     refuted = 0
@@ -296,7 +300,7 @@ def test_m1_search_matches_brute_force_on_every_z2_rank1_instance(gens):
         a = GroupRingElt(Z2, dict(enumerate(a_coeffs)))
         for row in product(range(-2, 3), repeat=G.space.num_cosets):
             refuted += assert_m1_matches_reference(G, a, G.element([row])) is None
-    assert refuted == (0 if gens else 264)
+    assert refuted == (40 if gens else 264)
 
 
 @st.composite
