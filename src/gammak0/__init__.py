@@ -73,7 +73,6 @@ from .gamma_maps import (
 from .sdp_engine import (
     M1Undecided,
     SdpWitness,
-    UnperfWitness,
     Verdict,
     sdp_witness,
     search_unperforation_witness_m1,
@@ -91,7 +90,6 @@ from .limits import (
     tower_new,
 )
 from .graded_matricial import (
-    K0Data,
     MatricialComponent,
     MatricialRingDesc,
     graded_iso,
@@ -106,7 +104,6 @@ from .hom_realization import (
     RealizedTower,
     hom_compose,
     hom_realizable,
-    k0_of_hom,
     realize_simplicial,
     realize_tower,
     verify_hom_spec,

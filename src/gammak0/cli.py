@@ -41,18 +41,18 @@ from .serialize import dump_json
 
 
 def _emit(args, report, data, cert: bool = True) -> None:
-    """Print the report, then write ``data`` to the --cert path unless ``cert``
-    is false.  ``report`` returns the text lines and is called only without
-    --json.  ``data`` is encoded once, so the certificate is byte-identical to
-    the --json output."""
+    """Write ``data`` to the --cert path unless ``cert`` is false, then print
+    the report, so a path that cannot be written leaves no report.  ``report``
+    returns the text lines and is called only without --json.  ``data`` is
+    encoded once, so the certificate is byte-identical to the --json output."""
     text = dump_json(data) if args.json or (cert and args.cert) else ""
+    if cert and args.cert:
+        Path(args.cert).write_text(text, encoding="utf-8")
     if args.json:
         sys.stdout.write(text)
     else:
         for line in report():
             sys.stdout.write(line + "\n")
-    if cert and args.cert:
-        Path(args.cert).write_text(text, encoding="utf-8")
 
 
 def _emit_verified(args, check, line, data, cert=None) -> int:
@@ -63,9 +63,9 @@ def _emit_verified(args, check, line, data, cert=None) -> int:
     if not check:
         sys.stderr.write(f"witness failed verification: {check.reason}\n")
         return 2
-    _emit(args, lambda: [line], data, cert=cert is None)
     if cert is not None and args.cert:
         Path(args.cert).write_text(dump_json(cert), encoding="utf-8")
+    _emit(args, lambda: [line], data, cert=cert is None)
     return 0
 
 
@@ -197,18 +197,18 @@ def _cmd_realize_tower(args, payload) -> int:
 
 def _cmd_k0(args, payload) -> int:
     ring = io.ring_from_json(payload)
-    k0 = k0_of_matricial(ring)
+    unit = k0_of_matricial(ring)
     space = ring.space
     data = {
-        "rank": k0.group.rank,
+        "rank": unit.group.rank,
         "delta": list(space.sub.members),
-        "unit_class": io.vector_to_json(k0.unit_class),
+        "unit_class": io.vector_to_json(unit),
         "homog_dim_identity": homog_dim(ring, space.parent.identity),
     }
     _emit(
         args,
         lambda: [
-            f"rank: {k0.group.rank}",
+            f"rank: {unit.group.rank}",
             f"stabilizer subgroup: {[space.parent.name_of(g) for g in space.sub.members]}",
             f"unit class: {data['unit_class']}",
         ],
@@ -239,13 +239,7 @@ def _cmd_extend(args, payload) -> int:
 
 
 def _cmd_ext_sdp(args, payload) -> int:
-    ext = io.extension_from_json(payload)
-    coeffs = payload.get("coeffs")
-    pairs = payload.get("pairs")
-    if not isinstance(coeffs, list) or not isinstance(pairs, list):
-        raise io.SchemaError("extension: relation needs 'coeffs' and 'pairs'")
-    a = [io.ring_elt_from_json(ext.base.space.parent, c) for c in coeffs]
-    elts = [io.ext_elt_from_json(ext, p) for p in pairs]
+    ext, a, elts = io.ext_relation_from_json(payload)
     w = ext_sdp_witness(ext, a, elts)
     line = f"extension decomposition witness with m={w.m}; verified"
     return _emit_verified(args, verify_sdp_witness(ext, a, elts, w), line, io.sdp_witness_to_json(w, ext))

@@ -96,21 +96,14 @@ def homog_dim(ring: MatricialRingDesc, d: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class K0Data:
-    """Class group of a matricial descriptor with its distinguished classes."""
-
-    group: SimplicialGroup
-    unit_class: GammaVector
-
-
-def k0_of_matricial(ring: MatricialRingDesc) -> K0Data:
-    """Class data: one basis class per component; the unit class collects the
-    left cosets of the inverted shifts."""
+def k0_of_matricial(ring: MatricialRingDesc) -> GammaVector:
+    """Class data: the unit class, whose ``.group`` is the class group with one
+    basis class per component; it collects the left cosets of the inverted
+    shifts."""
     space = ring.space
     group = SimplicialGroup(space, ring.num_components)
     flat = tuple(m for comp in ring.components for m in right_coset_counts(space, comp))
-    return K0Data(group=group, unit_class=GammaVector(group, flat))
+    return GammaVector(group, flat)
 
 
 def component_key(space: CosetSpace, comp: MatricialComponent) -> tuple[int, tuple[int, ...]]:

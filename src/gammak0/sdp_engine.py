@@ -2,7 +2,7 @@
 
 A simplicial group decomposes every zero relation among cone elements
 through nonnegative group-ring coefficients against its basis; the witness
-records those coefficients.  An unperforation witness for x is the same
+records those coefficients.  An unperforation witness for x is the one-row
 decomposition of x alone, the lifts of its coordinates against the basis:
 the projection pi is a module map, so pi(a*b_j) is the j-th coordinate of
 a*x, nonnegative whenever a*x is positive.  Both witnesses hold by
@@ -45,17 +45,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SdpWitness:
-    """Decomposition data: x_i = sum_j b_ij y_j with vanishing projected column sums."""
+    """Decomposition data: x_i = sum_j b_ij y_j with vanishing projected column
+    sums.  An unperforation witness is the one-row case x = sum_j b_j y_j."""
 
     m: int
     b: tuple[tuple[GroupRingElt, ...], ...]  # n rows, m columns
-    y: tuple  # m cone elements
-
-
-@dataclass(frozen=True)
-class UnperfWitness:
-    m: int
-    b: tuple[GroupRingElt, ...]
     y: tuple  # m cone elements
 
 
@@ -126,7 +120,7 @@ def verify_sdp_witness(group, a: Sequence[GroupRingElt], x: Sequence, w: SdpWitn
     return Verdict(True)
 
 
-def unperforation_witness(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> UnperfWitness:
+def unperforation_witness(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> SdpWitness:
     """Decomposition of x with projected products a*b_j nonnegative.
 
     b_j is the lift of the j-th coordinate of x and y is the basis, so
@@ -136,12 +130,12 @@ def unperforation_witness(group: SimplicialGroup, a: GroupRingElt, x: GammaVecto
         raise NotPositive("coefficient must lie in the positive cone of the group ring")
     if not group.cone_contains(a * x):
         raise ProductNotInCone("a*x must lie in the cone")
-    m, (b,), y = _against_basis(group, [x])
-    return UnperfWitness(m=m, b=b, y=y)
+    m, b, y = _against_basis(group, [x])
+    return SdpWitness(m=m, b=b, y=y)
 
 
-def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) -> Verdict:
-    if len(w.b) != w.m or len(w.y) != w.m:
+def verify_unperforation_witness(group, a: GroupRingElt, x, w: SdpWitness) -> Verdict:
+    if len(w.b) != 1 or len(w.b[0]) != w.m or len(w.y) != w.m:
         return Verdict(False, "shape")
     for yj in w.y:
         if not group.cone_contains(yj):
@@ -149,11 +143,11 @@ def verify_unperforation_witness(group, a: GroupRingElt, x, w: UnperfWitness) ->
     space = group.space
     zero = group.zero()
     total = [0] * len(zero.flat)
-    for bj, yj in zip(w.b, w.y):
+    for bj, yj in zip(w.b[0], w.y):
         _add_product(total, bj, yj.flat, space)
     if x != GammaVector(zero.group, tuple(total)):
         return Verdict(False, "decomposition_mismatch")
-    for j, bj in enumerate(w.b):
+    for j, bj in enumerate(w.b[0]):
         projected = [0] * space.num_cosets
         _add_projected_product(projected, a, bj, space)
         if min(projected) < 0:
@@ -187,7 +181,7 @@ def _compositions(n: int, parts: int):
         yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
 
 
-def _augmentation(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> tuple[bool, UnperfWitness | None]:
+def _augmentation(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> tuple[bool, SdpWitness | None]:
     """(refuted, witness): True when the augmentation proves that x = b*y has
     no m=1 witness; else the first witness it meets, or None.
 
@@ -249,13 +243,13 @@ def _augmentation(group: SimplicialGroup, a: GroupRingElt, x: GammaVector) -> tu
                 if min(projected) >= 0:
                     chosen = dict(zip(live, ys))
                     y = group.element([chosen.get(i, [0] * nc) for i in range(group.rank)])
-                    return False, UnperfWitness(m=1, b=(b,), y=(y,))
+                    return False, SdpWitness(m=1, b=((b,),), y=(y,))
     return True, None
 
 
 def search_unperforation_witness_m1(
     group: SimplicialGroup, a: GroupRingElt, x: GammaVector
-) -> UnperfWitness | M1Undecided | None:
+) -> SdpWitness | M1Undecided | None:
     """Single-term witness x = b*y, None when none exists, or ``M1Undecided``.
 
     None is an exact refutation by the augmentation (``_augmentation``),
@@ -310,5 +304,5 @@ def search_unperforation_witness_m1(
             solution.append(list(found))
         else:
             y = group.element(solution)
-            return UnperfWitness(m=1, b=(b,), y=(y,))
+            return SdpWitness(m=1, b=((b,),), y=(y,))
     return met or M1Undecided(bound)

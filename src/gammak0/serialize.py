@@ -23,7 +23,7 @@ from .group_ring import GroupRingElt
 from .hom_realization import HomSpec
 from .limits import ColimitElt, Tower, tower_new
 from .ordered_simplicial import GammaVector, SimplicialGroup
-from .sdp_engine import SdpWitness, UnperfWitness
+from .sdp_engine import SdpWitness
 from .shen import ShenFactorization
 
 PROBLEM_KINDS = ("group", "simplicial", "relation", "tower", "ring", "hom", "extension")
@@ -313,10 +313,15 @@ def hom_from_json(payload: dict) -> GammaLinearMap:
 # -- extensions ---------------------------------------------------------------------
 
 
-def extension_from_json(payload: dict) -> ExtendedGroup:
+def ext_relation_from_json(payload: dict) -> tuple[ExtendedGroup, list[GroupRingElt], list[GammaVector]]:
     group = simplicial_from_json(_need(payload, "simplicial", "extension"))
     unit = vector_from_json(group, _need(payload, "unit", "extension"), context="extension unit")
-    return ExtendedGroup(base=group, unit=unit)
+    ext = ExtendedGroup(base=group, unit=unit)
+    coeffs, pairs = payload.get("coeffs"), payload.get("pairs")
+    if not isinstance(coeffs, list) or not isinstance(pairs, list):
+        raise SchemaError("extension: relation needs 'coeffs' and 'pairs'")
+    a = [ring_elt_from_json(group.space.parent, c) for c in coeffs]
+    return ext, a, [ext_elt_from_json(ext, p) for p in pairs]
 
 
 def ext_elt_from_json(ext: ExtendedGroup, data: Any, context: str = "pair") -> GammaVector:
@@ -347,10 +352,10 @@ def sdp_witness_to_json(w: SdpWitness, ext: ExtendedGroup | None = None) -> dict
     }
 
 
-def unperf_witness_to_json(w: UnperfWitness) -> dict:
+def unperf_witness_to_json(w: SdpWitness) -> dict:
     return {
         "m": w.m,
-        "b": [ring_elt_to_json(entry) for entry in w.b],
+        "b": [ring_elt_to_json(entry) for entry in w.b[0]],
         "y": [vector_to_json(yj) for yj in w.y],
     }
 

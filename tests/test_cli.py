@@ -18,7 +18,7 @@ from gammak0.cli import build_parser, main
 from gammak0 import (
     FiniteGroup,
     GammaVector,
-    UnperfWitness,
+    SdpWitness,
     Verdict,
     cyclic_group,
     dihedral_group,
@@ -137,11 +137,9 @@ def test_unperf_witness_and_m1_refutation(tmp_path, capsys):
     group = io.simplicial_from_json(payload["simplicial"])
     a = io.ring_elt_from_json(group.space.parent, payload["a"])
     x = io.vector_from_json(group, payload["x"])
-    from gammak0 import UnperfWitness
-
-    w = UnperfWitness(
+    w = SdpWitness(
         m=data["m"],
-        b=tuple(io.ring_elt_from_json(group.space.parent, e) for e in data["b"]),
+        b=(tuple(io.ring_elt_from_json(group.space.parent, e) for e in data["b"]),),
         y=tuple(io.vector_from_json(group, yj) for yj in data["y"]),
     )
     assert verify_unperforation_witness(group, a, x, w)
@@ -290,10 +288,12 @@ def test_ext_sdp_relation_errors_exit_2(tmp_path, capsys, payload, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_unwritable_cert_path_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_unwritable_cert_path_exits_2(tmp_path, capsys, flags):
     path = write(tmp_path, "s.json", "simplicial", simplicial_payload())
-    assert main(["--cert", str(tmp_path / "missing" / "cert.json"), "check-simplicial", path]) == 2
-    err = capsys.readouterr().err
+    assert main([*flags, "--cert", str(tmp_path / "missing" / "cert.json"), "check-simplicial", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
 
 
@@ -647,9 +647,9 @@ def test_m1_answers_decided_by_the_augmentation(tmp_path, capsys):
     assert cert.read_text(encoding="utf-8") == io.dump_json(witness)
     group = io.simplicial_from_json(z5)
     G = group.space.parent
-    w = UnperfWitness(
+    w = SdpWitness(
         m=1,
-        b=(io.ring_elt_from_json(G, witness["b"][0]),),
+        b=((io.ring_elt_from_json(G, witness["b"][0]),),),
         y=(io.vector_from_json(group, witness["y"][0]),),
     )
     assert verify_unperforation_witness(group, io.ring_elt_from_json(G, total), io.vector_from_json(group, x), w)
@@ -673,7 +673,7 @@ def test_m1_witness_is_reverified_before_it_is_emitted(tmp_path, capsys, monkeyp
         w = search(group, a, x)
         y = list(w.y[0].flat)
         y[0] += 1
-        return UnperfWitness(m=1, b=w.b, y=(GammaVector(group, tuple(y)),))
+        return SdpWitness(m=1, b=w.b, y=(GammaVector(group, tuple(y)),))
 
     monkeypatch.setattr(gammak0.cli, "search_unperforation_witness_m1", tampered)
     cert = tmp_path / "cert.json"

@@ -31,7 +31,7 @@ def test_rank_zero_realization_and_k0():
     assert realized.ring.components == ()
     k0 = k0_of_matricial(realized.ring)
     assert k0.group.rank == 0
-    assert k0.unit_class == G.zero()
+    assert k0 == G.zero()
 
 
 def test_rank_zero_sdp():

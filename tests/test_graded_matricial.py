@@ -107,7 +107,7 @@ def test_k0_single_component_over_subgroup_ring():
     R = matricial_ring(space, [(1, [0])])
     k0 = k0_of_matricial(R)
     assert k0.group.rank == 1
-    assert k0.unit_class == k0.group.basis_vector(0)
+    assert k0 == k0.group.basis_vector(0)
 
 
 def test_k0_z2_example():
@@ -115,7 +115,7 @@ def test_k0_z2_example():
     R = matricial_ring(trivial_space(Z2), [(3, [0, 0, 1])])
     k0 = k0_of_matricial(R)
     assert k0.group.rank == 1
-    assert k0.unit_class == k0.group.element([[2, 1]])  # 2 + x
+    assert k0 == k0.group.element([[2, 1]])  # 2 + x
 
 
 def test_k0_two_components():
@@ -124,7 +124,7 @@ def test_k0_two_components():
     R = matricial_ring(space, [(3, [0, 0, 1]), (1, [1])])
     k0 = k0_of_matricial(R)
     assert k0.group.rank == 2
-    assert k0.unit_class == k0.group.element([[2, 1], [0, 1]])
+    assert k0 == k0.group.element([[2, 1], [0, 1]])
     assert len(k0.group.basis()) == 2
 
 
@@ -138,8 +138,8 @@ def test_k0_unit_class_is_order_unit():
         comps = [(p, [rng.randrange(g.order) for _ in range(p)]) for p, _ in comps]
         R = matricial_ring(space, comps)
         k0 = k0_of_matricial(R)
-        assert k0.group.cone_contains(k0.unit_class)
-        assert is_order_unit(k0.group, k0.unit_class)
+        assert k0.group.cone_contains(k0)
+        assert is_order_unit(k0.group, k0)
 
 
 def test_basis_classes_stabilized_exactly_by_normal_delta():
@@ -208,7 +208,7 @@ def test_shift_normalization_invariance():
         S = matricial_ring(space, twisted)
         for d in g.elements():
             assert homog_dim(R, d) == homog_dim(S, d)
-        assert k0_of_matricial(R).unit_class == k0_of_matricial(S).unit_class
+        assert k0_of_matricial(R) == k0_of_matricial(S)
         assert graded_iso(R, S)
 
 
@@ -225,7 +225,7 @@ def test_k0_respects_graded_iso():
         rng.shuffle(perm)
         S = matricial_ring(space, [comps[i] for i in perm])
         assert graded_iso(R, S)
-        uR = k0_of_matricial(R).unit_class
-        uS = k0_of_matricial(S).unit_class
+        uR = k0_of_matricial(R)
+        uS = k0_of_matricial(S)
         for j, i in enumerate(perm):
             assert uR.coord(i) == uS.coord(j)

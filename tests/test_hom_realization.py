@@ -15,7 +15,6 @@ from gammak0 import (
     group_from_table,
     hom_compose,
     hom_realizable,
-    k0_of_hom,
     k0_of_matricial,
     leq,
     map_apply,
@@ -42,7 +41,7 @@ def test_realize_z2_example():
     u = G.element([[2, 1]])
     realized = realize_simplicial(G, u)
     assert [(c.size, c.shifts) for c in realized.ring.components] == [(3, (0, 0, 1))]
-    assert realized.k0.unit_class == u
+    assert k0_of_matricial(realized.ring) == u
 
 
 def test_realize_coset_module():
@@ -67,7 +66,7 @@ def test_realize_orders_slots_by_coset_representative():
     S = SimplicialGroup(coset_space(g, trivial_subgroup(g)), 1)
     realized = realize_simplicial(S, S.element([[2, 3]]))
     assert realized.ring.components[0].shifts == (0, 0, 0, 1, 1)
-    assert realized.k0.unit_class == S.element([[2, 3]])
+    assert k0_of_matricial(realized.ring) == S.element([[2, 3]])
 
 
 def test_realize_round_trip_random():
@@ -80,8 +79,7 @@ def test_realize_round_trip_random():
                 realized = realize_simplicial(G, u)
                 k0 = k0_of_matricial(realized.ring)
                 assert k0.group.rank == G.rank
-                assert k0.unit_class == u
-                assert realized.basis_map.source == k0.group
+                assert k0 == u
 
 
 def test_hom_realizable_unital_example():
@@ -135,7 +133,7 @@ def test_hom_compose_functorial():
     composed = hom_compose(h2, h1)
     assert composed.unital
     assert verify_hom_spec(composed)
-    assert k0_of_hom(composed) == map_compose(k0_of_hom(h2), k0_of_hom(h1))
+    assert composed.matrix == map_compose(h2.matrix, h1.matrix)
 
 
 def _random_realizable_pair(rng, G, unital: bool):
@@ -166,7 +164,7 @@ def test_functoriality_random():
                 h1, h2 = _random_realizable_pair(rng, G, unital)
                 composed = hom_compose(h2, h1)
                 assert verify_hom_spec(composed)
-                assert k0_of_hom(composed) == map_compose(k0_of_hom(h2), k0_of_hom(h1))
+                assert composed.matrix == map_compose(h2.matrix, h1.matrix)
 
 
 def test_realize_tower_constant():
@@ -193,7 +191,7 @@ def test_realize_tower_mult_by_one_plus_x():
     assert [(c.size, c.shifts) for c in realized.rings[1].components] == [(2, (0, 1))]
     spec = realized.specs[0]
     assert spec.unital
-    assert k0_of_hom(spec) == m
+    assert spec.matrix == m
 
 
 def test_realize_tower_random_modes():
@@ -216,9 +214,9 @@ def test_realize_tower_random_modes():
                 realized = realize_tower(t)
                 for n, spec in enumerate(realized.specs):
                     assert verify_hom_spec(spec)
-                    assert k0_of_hom(spec) == t.maps[n]
-                    img = map_apply(spec.matrix, k0_of_matricial(spec.source).unit_class)
-                    target_unit = k0_of_matricial(spec.target).unit_class
+                    assert spec.matrix == t.maps[n]
+                    img = map_apply(spec.matrix, k0_of_matricial(spec.source))
+                    target_unit = k0_of_matricial(spec.target)
                     if mode == "unit":
                         assert img == target_unit
                     else:

@@ -16,7 +16,6 @@ from gammak0 import (
     ProductNotInCone,
     RelationNotZero,
     SdpWitness,
-    UnperfWitness,
     Verdict,
     cyclic_group,
     dihedral_group,
@@ -123,12 +122,12 @@ def test_unperforation_witness_spec_instance():
     assert not G.cone_contains(u)
     w = unperforation_witness(G, a, u)
     assert w.m == 2
-    assert w.b == (one - x, one + one - x)
+    assert w.b == ((one - x, one + one - x),)
     assert verify_unperforation_witness(G, a, u, w)
     # rank 0: one zero target with a zero coefficient
     G0 = simplicial_over(Z2, [], 0)
     w0 = unperforation_witness(G0, a, G0.zero())
-    assert (w0.m, w0.b, w0.y) == (1, (GroupRingElt.zero(Z2),), (G0.zero(),))
+    assert (w0.m, w0.b, w0.y) == (1, ((GroupRingElt.zero(Z2),),), (G0.zero(),))
     assert verify_unperforation_witness(G0, a, G0.zero(), w0)
 
 
@@ -141,7 +140,7 @@ def test_unperforation_trivial_group():
     # classical unperforation: the witness certifies cone membership
     assert all(G1.cone_contains(y) for y in w.y)
     total = G1.zero()
-    for bj, yj in zip(w.b, w.y):
+    for bj, yj in zip(w.b[0], w.y):
         assert bj.is_positive()
         total = total + bj * yj
     assert total == x
@@ -192,7 +191,7 @@ def test_m1_augmentation_refutes_by_each_rule():
     # first composition y = e_4 meets the witness b = 2g - g^2
     x = G1.element([[2, -1, 0, 0, 0]])
     found = search_unperforation_witness_m1(G1, total, x)
-    assert found == UnperfWitness(m=1, b=(GroupRingElt(g, {1: 2, 2: -1}),), y=(G1.element([[0, 0, 0, 0, 1]]),))
+    assert found == SdpWitness(m=1, b=((GroupRingElt(g, {1: 2, 2: -1}),),), y=(G1.element([[0, 0, 0, 0, 1]]),))
     assert verify_unperforation_witness(G1, total, x, found)
 
 
@@ -260,11 +259,12 @@ def test_verify_unperforation_witness_names_each_failed_clause():
     # a*b_0 projects to (1, 0) and a*b_1 to (2, -1)
     v = G.element([[1, 0], [2, -1]])
     cases = [
-        (a, u, UnperfWitness(m=2, b=w.b[:1], y=w.y), "shape"),
-        (a, u, UnperfWitness(m=2, b=w.b, y=w.y[:1]), "shape"),
-        (a, u, UnperfWitness(m=2, b=w.b, y=(w.y[0], -w.y[1])), "target_not_in_cone"),
-        (a, u, UnperfWitness(m=2, b=(w.b[0], w.b[0]), y=w.y), "decomposition_mismatch"),
-        (one, v, UnperfWitness(m=2, b=(one, one + one - x), y=basis), "projected_product_negative_1"),
+        (a, u, SdpWitness(m=2, b=(w.b[0][:1],), y=w.y), "shape"),
+        (a, u, SdpWitness(m=2, b=w.b, y=w.y[:1]), "shape"),
+        (a, u, SdpWitness(m=2, b=w.b * 2, y=w.y), "shape"),
+        (a, u, SdpWitness(m=2, b=w.b, y=(w.y[0], -w.y[1])), "target_not_in_cone"),
+        (a, u, SdpWitness(m=2, b=((w.b[0][0], w.b[0][0]),), y=w.y), "decomposition_mismatch"),
+        (one, v, SdpWitness(m=2, b=((one, one + one - x),), y=basis), "projected_product_negative_1"),
     ]
     for coeff, vector, witness, reason in cases:
         verdict = verify_unperforation_witness(G, coeff, vector, witness)
@@ -281,8 +281,8 @@ def assert_m1_matches_reference(G, a, x):
         assert found is None or isinstance(found, M1Undecided) and found.box == box
     else:
         b, ys = expected
-        assert isinstance(found, UnperfWitness)
-        assert (found.m, found.b, found.y) == (1, (b,), (G.element(ys),))
+        assert isinstance(found, SdpWitness)
+        assert (found.m, found.b, found.y) == (1, ((b,),), (G.element(ys),))
     return found
 
 
@@ -394,16 +394,16 @@ def dense_verify_sdp(group, a, x, w):
 
 def dense_verify_unperf(group, a, x, w):
     """``verify_unperforation_witness`` with the sum built as ``total + b*y``."""
-    if len(w.b) != w.m or len(w.y) != w.m:
+    if len(w.b) != 1 or len(w.b[0]) != w.m or len(w.y) != w.m:
         return Verdict(False, "shape")
     if not all(group.cone_contains(yj) for yj in w.y):
         return Verdict(False, "target_not_in_cone")
     total = group.zero()
-    for bj, yj in zip(w.b, w.y):
+    for bj, yj in zip(w.b[0], w.y):
         total = total + dense_product(bj, yj)
     if total != x:
         return Verdict(False, "decomposition_mismatch")
-    for j, bj in enumerate(w.b):
+    for j, bj in enumerate(w.b[0]):
         if min(dense_projection(a, bj, group.space)) < 0:
             return Verdict(False, f"projected_product_negative_{j}")
     return Verdict(True)
@@ -495,5 +495,5 @@ def test_scatter_checks_match_dense_sums(which, seed, kind, extended):
     assert raised(relation_check, group, a, x) == dense_relation_error(group, a, x)
     if not extended:
         # the unperforation check on the same data: row 0 against the targets
-        u = UnperfWitness(m=w.m, b=w.b[0], y=w.y)
+        u = SdpWitness(m=w.m, b=w.b[:1], y=w.y)
         assert verify_unperforation_witness(base, a[0], x[0], u) == dense_verify_unperf(base, a[0], x[0], u)
