@@ -1,15 +1,17 @@
 """Symbolic graded matricial rings over a group-ring division coefficient ring.
 
-A descriptor lists matrix components by size and shift tuple; the base field
-is a formal tag, since supports, homogeneous dimensions, class groups, and
-graded isomorphism depend only on the stabilizer subgroup and the shifts.
+A descriptor lists matrix components by runs of diagonal slots that share a
+shift; the base field is a formal tag, since supports, homogeneous
+dimensions, class groups, and graded isomorphism depend only on the
+stabilizer subgroup and the shifts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Sequence
 
 from .errors import DeltaMismatch
 from .finite_group import CosetSpace
@@ -18,14 +20,25 @@ from .ordered_simplicial import GammaVector, SimplicialGroup
 
 @dataclass(frozen=True)
 class MatricialComponent:
-    size: int
-    shifts: tuple[int, ...]
+    """One block M_size(F[D])(shifts), stored as runs ``(shift, count)`` of
+    consecutive diagonal slots with one shift.  ``size`` and the per-slot
+    ``shifts`` are derived from the runs; every invariant below reads the
+    runs, so none costs time that grows with the size."""
+
+    runs: tuple[tuple[int, int], ...]
+    size: int = field(init=False)
 
     def __post_init__(self):
-        if self.size < 1:
+        if not self.runs:
             raise ValueError("component size must be at least 1")
-        if len(self.shifts) != self.size:
-            raise ValueError("one shift per diagonal slot required")
+        if any(k < 1 for _, k in self.runs):
+            raise ValueError("every run holds at least one slot")
+        object.__setattr__(self, "size", sum(k for _, k in self.runs))
+
+    @property
+    def shifts(self) -> tuple[int, ...]:
+        """One shift per diagonal slot, expanded from the runs."""
+        return tuple(chain.from_iterable(repeat(s, k) for s, k in self.runs))
 
 
 @dataclass(frozen=True)
@@ -36,7 +49,7 @@ class MatricialRingDesc:
     def __post_init__(self):
         order = self.space.parent.order
         for comp in self.components:
-            for s in comp.shifts:
+            for s, _ in comp.runs:
                 if s < 0 or s >= order:
                     raise ValueError(f"shift {s} out of range")
 
@@ -54,27 +67,29 @@ class MatricialRingDesc:
 
 
 def matricial_ring(space: CosetSpace, components: Sequence[tuple[int, Sequence[int]]]) -> MatricialRingDesc:
-    comps = tuple(MatricialComponent(size=p, shifts=tuple(sh)) for p, sh in components)
-    return MatricialRingDesc(space=space, components=comps)
-
-
-def slot_classes(space: CosetSpace, shifts: Iterable[int], twist: int = 0) -> list[int]:
-    """Class of each slot: the left coset of s^{-1} * (coset ``twist``) for a
-    slot of shift s.  Twist 0 gives a slot's own class, the left coset of
-    s^{-1}, which names the right coset D*s; twist c gives the class that a
-    source slot needs in a copy twisted by c."""
-    action, inv = space.action, space.parent.inv
-    return [action[inv[s]][twist] for s in shifts]
+    """Descriptor from (size, per-slot shift list) pairs.  Each list is
+    collected by value into one run per distinct shift, in order of first
+    appearance: permuting the shifts of a component is conjugation by a
+    permutation matrix, a graded isomorphism, so no invariant reads the
+    slot order."""
+    comps = []
+    for p, shifts in components:
+        if p < 1:
+            raise ValueError("component size must be at least 1")
+        if len(shifts) != p:
+            raise ValueError("one shift per diagonal slot required")
+        comps.append(MatricialComponent(runs=tuple(Counter(shifts).items())))
+    return MatricialRingDesc(space=space, components=tuple(comps))
 
 
 def right_coset_counts(space: CosetSpace, comp: MatricialComponent) -> list[int]:
     """Slots of a component per right coset D*s of their shift, indexed by the
-    left coset of s^{-1}; the class data below depends on the shifts only
-    through these counts."""
+    left coset of s^{-1}, which is the class of a slot of shift s; the class
+    data below depends on the shifts only through these counts."""
+    action, inv = space.action, space.parent.inv
     counts = [0] * space.num_cosets
-    distinct = Counter(comp.shifts)
-    for c, k in zip(slot_classes(space, distinct), distinct.values()):
-        counts[c] += k
+    for s, k in comp.runs:
+        counts[action[inv[s]][0]] += k
     return counts
 
 
@@ -85,7 +100,7 @@ def homog_dim(ring: MatricialRingDesc, d: int) -> int:
     degree g_k*d*g_l^{-1} lands in the stabilizer subgroup D.  For shifts
     counted at a and b by ``right_coset_counts`` that holds iff d sends left
     coset b to left coset a, so a component contributes sum_b m[d.b] * m[b],
-    at a cost linear in its size.
+    at a cost linear in its number of runs.
     """
     space = ring.space
     moved = space.action[d]

@@ -4,13 +4,16 @@
 matricial descriptor whose class data reproduces it on the nose.
 ``hom_realizable`` turns a positive class map into a block-embedding
 certificate: a per-component assignment of diagonal slots with matching
-shift cosets.  Towers of groups are realized level by level.
+shift cosets, taken and checked run by run.  Towers of groups are realized
+level by level.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     InternalVerificationFailed,
@@ -21,7 +24,7 @@ from .errors import (
     UnitMismatch,
 )
 from .gamma_maps import GammaLinearMap, is_positive_map, map_apply, map_compose
-from .graded_matricial import MatricialComponent, MatricialRingDesc, k0_of_matricial, slot_classes
+from .graded_matricial import MatricialComponent, MatricialRingDesc, k0_of_matricial
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit, leq
 from .sdp_engine import Verdict
@@ -36,14 +39,15 @@ class RealizedSimplicial:  # kept while benchmark probes read realize_simplicial
 class CopyEmbedding:
     """One diagonal copy of a source component inside a target component.
 
-    ``slot_map[k]`` is the target diagonal position receiving source slot k;
-    the copy is twisted by ``twist_coset``.
+    ``slot_map`` is a tuple of ranges of target diagonal positions; read in
+    order, their k-th position receives source slot k.  The copy is twisted
+    by ``twist_coset``.
     """
 
     target_component: int
     source_component: int
     twist_coset: int
-    slot_map: tuple[int, ...]
+    slot_map: tuple[range, ...]
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,10 @@ class HomSpec:
 def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSimplicial:
     """Matricial descriptor whose class data is (group, unit) exactly.
 
-    Coordinate i contributes one diagonal slot per unit of coset mass; a slot
-    in coset c is shifted by the inverse of the representative of c, and the
-    slots run in increasing order of that representative.
+    Coordinate i contributes one run of diagonal slots per coset c of
+    nonzero mass, as many slots as the mass, each shifted by the inverse of
+    the representative of c; the runs go in increasing order of that
+    representative.
     """
     space = group.space
     G = space.parent
@@ -70,10 +75,8 @@ def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSim
     components = []
     for i in range(group.rank):
         coord = unit.coord(i)
-        shifts: list[int] = []
-        for c in order:
-            shifts += [G.inv[space.reps[c]]] * coord[c]
-        components.append(MatricialComponent(size=len(shifts), shifts=tuple(shifts)))
+        runs = tuple((G.inv[space.reps[c]], coord[c]) for c in order if coord[c])
+        components.append(MatricialComponent(runs=runs))
     ring = MatricialRingDesc(space=space, components=tuple(components))
     if k0_of_matricial(ring) != unit:
         raise InternalVerificationFailed("round trip does not reproduce the unit")
@@ -90,7 +93,12 @@ def hom_realizable(
 
     Realizable exactly when the image of the source unit class fits under
     the target unit class slot by slot (with equality in the unital case);
-    the greedy per-coset assignment then always completes.
+    the greedy per-class assignment then always completes.  A slot of shift
+    s has class the left coset of s^{-1}, which names the right coset D*s; in
+    a copy twisted by coset c it needs a target slot of class s^{-1} * (coset
+    c).  Each target component keeps, per class, its free slot intervals in
+    increasing order, and a copy takes, run by run, the lowest free slots of
+    the class the run needs, one range per interval it touches.
     """
     unit_r = k0_of_matricial(source)
     unit_s = k0_of_matricial(target)
@@ -105,23 +113,33 @@ def hom_realizable(
     else:
         if not leq(image_unit, unit_s):
             raise NotRealizable("image of the unit class exceeds the target capacity")
+    action, inv = source.space.action, source.space.parent.inv
+    target_action, target_inv = target.space.action, target.space.parent.inv
     certificate: list[CopyEmbedding] = []
     for j, host in enumerate(target.components):
-        available: dict[int, deque[int]] = {}  # target slots by class, in increasing order
-        for l, c in enumerate(slot_classes(target.space, host.shifts)):
-            available.setdefault(c, deque()).append(l)
+        free: dict[int, list[tuple[int, int]]] = {}  # class -> free [lo, hi), lowest last
+        hi = host.size
+        for s, k in reversed(host.runs):
+            free.setdefault(target_action[target_inv[s]][0], []).append((hi - k, hi))
+            hi -= k
         for i, comp in enumerate(source.components):
             for coset, mult in enumerate(matrix.columns[i].coord(j)):
-                classes = slot_classes(source.space, comp.shifts, coset) if mult else []
+                needs = [(action[inv[s]][coset], k) for s, k in comp.runs] if mult else []
                 for _ in range(mult):
                     slot_map = []
-                    for needed in classes:
-                        pool = available.get(needed)
-                        if not pool:
-                            raise NotRealizable(
-                                f"target component {j} lacks a slot in class {needed}"
-                            )
-                        slot_map.append(pool.popleft())
+                    for needed, k in needs:
+                        pool = free.get(needed, [])
+                        while k:
+                            if not pool:
+                                raise NotRealizable(
+                                    f"target component {j} lacks a slot in class {needed}"
+                                )
+                            lo, hi = pool.pop()
+                            if hi - lo > k:
+                                pool.append((lo + k, hi))
+                                hi = lo + k
+                            slot_map.append(range(lo, hi))
+                            k -= hi - lo
                     certificate.append(
                         CopyEmbedding(
                             target_component=j,
@@ -140,37 +158,68 @@ def hom_realizable(
 
 
 def verify_hom_spec(spec: HomSpec) -> Verdict:
-    """Recheck a certificate: disjoint slots, matching classes, full matrix coverage.
+    """Recheck a certificate run by run, independently of the matcher.
 
-    A failing verdict names its clause: ``slot_count``, ``reused_slot``,
-    ``class_mismatch``, ``matrix_coverage`` or ``unital_coverage``.
+    The clauses, in the order they are checked, each name a failing verdict:
+    every copy fills its source component (``slot_count``) with nonempty
+    ranges of step 1 inside its target component (``slot_range``), whose
+    target classes are the classes the twisted copy needs
+    (``class_mismatch``); no target slot is taken twice (``reused_slot``);
+    the copies cover the matrix entry by entry (``matrix_coverage``); and a
+    unital spec covers every target slot (``unital_coverage``).
     """
     space = spec.source.space
-    target_classes = [slot_classes(space, comp.shifts) for comp in spec.target.components]
-    used: dict[int, set[int]] = {}
+    action, inv = space.action, space.parent.inv
+    targets = [  # per target component: where each run ends, and the class of its slots
+        ([*accumulate(k for _, k in comp.runs)], [action[inv[s]][0] for s, _ in comp.runs])
+        for comp in spec.target.components
+    ]
+    taken: list[list[tuple[int, int]]] = [[] for _ in targets]
     demanded: Counter[tuple[int, int, int]] = Counter()
     for copy in spec.certificate:
-        j, i = copy.target_component, copy.source_component
+        j, i, twist = copy.target_component, copy.source_component, copy.twist_coset
         comp = spec.source.components[i]
-        if len(copy.slot_map) != comp.size:
+        if sum(map(len, copy.slot_map)) != comp.size:
             return Verdict(False, "slot_count")
-        taken = used.setdefault(j, set())
-        for needed, l in zip(slot_classes(space, comp.shifts, copy.twist_coset), copy.slot_map):
-            if l in taken:
+        ends, classes = targets[j]
+        size = ends[-1]
+        runs, intervals = comp.runs, taken[j]
+        n = left = 0  # the next source run and the slots left in the current one
+        for r in copy.slot_map:
+            lo, hi = r.start, r.stop
+            if r.step != 1 or not 0 <= lo < hi <= size:
+                return Verdict(False, "slot_range")
+            intervals.append((lo, hi))
+            while lo < hi:
+                if not left:
+                    s, left = runs[n]
+                    needed = action[inv[s]][twist]
+                    n += 1
+                t = bisect_right(ends, lo)  # the target run holding slot lo
+                if classes[t] != needed:
+                    return Verdict(False, "class_mismatch")
+                end = hi if hi - lo < left else lo + left
+                if end > ends[t]:
+                    end = ends[t]
+                left -= end - lo
+                lo = end
+        demanded[i, j, twist] += 1
+    for intervals in taken:
+        intervals.sort()
+        prev = 0
+        for lo, hi in intervals:
+            if lo < prev:
                 return Verdict(False, "reused_slot")
-            taken.add(l)
-            if target_classes[j][l] != needed:
-                return Verdict(False, "class_mismatch")
-        demanded[i, j, copy.twist_coset] += 1
+            prev = hi
     nc = space.num_cosets
     columns = spec.matrix.columns
     entries = {(i, *divmod(pos, nc)): k for i, col in enumerate(columns) for pos, k in enumerate(col.flat) if k}
     if demanded != entries:
         return Verdict(False, "matrix_coverage")
     if spec.unital:
-        for j in range(spec.target.num_components):
-            covered = used.get(j, set())
-            if len(covered) != spec.target.components[j].size:
+        for j, comp in enumerate(spec.target.components):
+            covered = sum(hi - lo for lo, hi in taken[j])
+            if covered != comp.size:
                 return Verdict(False, "unital_coverage")
     return Verdict(True)
 

@@ -11,6 +11,7 @@ output through ``python -m json.tool`` to read it indented.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
@@ -283,9 +284,11 @@ def ring_from_json(payload: dict) -> MatricialRingDesc:
 
 
 def ring_to_json(ring: MatricialRingDesc) -> dict:
+    """One shift per diagonal slot, expanded from the runs of each component."""
     out = space_to_json(ring.space)
     out["components"] = [
-        {"size": c.size, "shifts": list(c.shifts)} for c in ring.components
+        {"size": c.size, "shifts": list(chain.from_iterable(repeat(s, k) for s, k in c.runs))}
+        for c in ring.components
     ]
     return out
 
@@ -377,7 +380,7 @@ def hom_spec_to_json(spec: HomSpec) -> dict:
                 "target_component": c.target_component,
                 "source_component": c.source_component,
                 "twist_coset": c.twist_coset,
-                "slot_map": list(c.slot_map),
+                "slot_map": [*chain(*c.slot_map)],
             }
             for c in spec.certificate
         ],

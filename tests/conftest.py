@@ -6,6 +6,7 @@ Randomness is always driven by explicit seeds so every run is reproducible.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -319,6 +320,45 @@ def dominating_coefficient(u: GammaVector, x: GammaVector) -> GroupRingElt:
     group = u.group.space.parent
     k = max(max(x.flat, default=0), 0)
     return GroupRingElt(group, dict.fromkeys(group.elements(), k))
+
+
+def realized_shifts_reference(group: SimplicialGroup, unit: GammaVector) -> list[list[int]]:
+    """Per-slot shift lists of ``realize_simplicial``: one slot per unit of
+    coset mass, shifted by the inverse of the coset's representative, in
+    increasing order of that representative."""
+    space = group.space
+    order = sorted(range(space.num_cosets), key=space.reps.__getitem__)
+    out = []
+    for i in range(group.rank):
+        coord = unit.coord(i)
+        shifts: list[int] = []
+        for c in order:
+            shifts += [space.parent.inv[space.reps[c]]] * coord[c]
+        out.append(shifts)
+    return out
+
+
+def slot_maps_reference(space: CosetSpace, source_shifts, target_shifts, matrix) -> list[tuple]:
+    """The per-slot greedy that ``hom_realizable`` replaced, as
+    ``(target, source, twist, slot_map)`` tuples in certificate order.
+
+    Each target component queues its slots by class, the left coset of
+    s^{-1} for shift s; every copy of source component i twisted by coset c
+    pops, for each source slot in order, the lowest free slot of the class
+    of s^{-1} * (coset c).
+    """
+    action, inv = space.action, space.parent.inv
+    out = []
+    for j, host in enumerate(target_shifts):
+        available: dict[int, deque[int]] = {}
+        for l, s in enumerate(host):
+            available.setdefault(action[inv[s]][0], deque()).append(l)
+        for i, shifts in enumerate(source_shifts):
+            for coset, mult in enumerate(matrix.columns[i].coord(j)):
+                for _ in range(mult):
+                    slot_map = [available[action[inv[s]][coset]].popleft() for s in shifts]
+                    out.append((j, i, coset, slot_map))
+    return out
 
 
 def translate_reference(space: CosetSpace, coeffs, g: int) -> tuple[int, ...]:

@@ -290,11 +290,16 @@ def test_ext_sdp_relation_errors_exit_2(tmp_path, capsys, payload, message):
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_unwritable_cert_path_exits_2(tmp_path, capsys, flags):
+    cert = str(tmp_path / "missing" / "cert.json")
     path = write(tmp_path, "s.json", "simplicial", simplicial_payload())
-    assert main([*flags, "--cert", str(tmp_path / "missing" / "cert.json"), "check-simplicial", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    # a witness command writes its own certificate, the bare --m1 witness
+    found = write(tmp_path, "found.json", "relation",
+                  {"simplicial": simplicial_payload(), "a": {"coeffs": {"0": 1}}, "x": [[1, 0]]})
+    for argv in (["check-simplicial", path], ["unperf-witness", found, "--m1"]):
+        assert main([*flags, "--cert", cert, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_directory_as_problem_path_exits_2(tmp_path, capsys):
@@ -795,9 +800,9 @@ def test_tower_units_without_mode_is_schema_error(tmp_path):
     assert main(["realize-tower", path]) == 2
 
 
-# Integers stay small. A matricial component stores one shift per diagonal
-# slot, so realize-tower allocates as many slots as a unit has mass; a large
-# integer would only measure that growth, not the loaders.
+# Integers stay small. A ring certificate lists one shift per diagonal slot,
+# so realize-tower writes as many shifts as a unit has mass; a large integer
+# would only measure that growth, not the loaders.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()

@@ -7,6 +7,7 @@ import pytest
 from gammak0 import (
     NotOrderUnit,
     NotRealizable,
+    ShapeMismatch,
     SimplicialGroup,
     UnitMismatch,
     coset_space,
@@ -16,20 +17,27 @@ from gammak0 import (
     hom_compose,
     hom_realizable,
     k0_of_matricial,
+    klein_four_group,
     leq,
     map_apply,
     map_compose,
     map_new,
+    matricial_ring,
     realize_simplicial,
     realize_tower,
+    subgroup_closure,
     tower_new,
     trivial_subgroup,
     verify_hom_spec,
 )
 from conftest import (
     constant_tower,
+    random_cone_vector,
     random_order_unit,
+    random_space,
+    realized_shifts_reference,
     simplicial_over,
+    slot_maps_reference,
     small_groups,
     unit_spreading_map,
 )
@@ -116,6 +124,32 @@ def test_hom_not_realizable():
     B = map_new(G, G, [G.element([[0, 3]])])  # needs 3 slots in the x-class
     with pytest.raises(NotRealizable):
         hom_realizable(R, S, B, unital=False)
+
+
+def test_hom_realizable_checks_each_class_group():
+    # one class group right and the other wrong must fail the shape check
+    Z2 = cyclic_group(2)
+    one, two = simplicial_over(Z2, [], 1), simplicial_over(Z2, [], 2)
+    R1 = realize_simplicial(one, one.element([[1, 0]])).ring
+    R2 = realize_simplicial(two, two.element([[1, 0], [1, 0]])).ring
+    up = map_new(one, two, [two.element([[1, 0], [1, 0]])])
+    with pytest.raises(ShapeMismatch):
+        hom_realizable(R1, R1, up, unital=True)  # source right, target wrong
+    with pytest.raises(ShapeMismatch):
+        hom_realizable(R2, R2, up, unital=True)  # source wrong, target right
+
+
+def test_hom_realizable_takes_the_lowest_free_slots_of_each_class():
+    # over D3 with D = <s>, M3(1, r, s) has two slots of the class D, apart:
+    # two one-slot copies fill the first, then the third
+    d3 = dihedral_group(3)
+    space = coset_space(d3, subgroup_closure(d3, [3]))
+    R = matricial_ring(space, [(1, [0])])
+    S = matricial_ring(space, [(3, [0, 1, 3])])
+    G, H = k0_of_matricial(R).group, k0_of_matricial(S).group
+    spec = hom_realizable(R, S, map_new(G, H, [H.basis_vector(0).scale(2)]), unital=False)
+    assert [c.slot_map for c in spec.certificate] == [(range(0, 1),), (range(2, 3),)]
+    assert verify_hom_spec(spec)
 
 
 def test_hom_compose_functorial():
@@ -221,3 +255,43 @@ def test_realize_tower_random_modes():
                         assert img == target_unit
                     else:
                         assert leq(img, target_unit)
+
+
+def test_realize_tower_matches_the_per_slot_reference():
+    """Ring shifts and expanded slot maps equal the per-slot greedy's on 600
+    random towers, in unit and interval mode, with unit coefficients up to 40."""
+    rng = random.Random(109)
+    groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group(),
+              dihedral_group(3), dihedral_group(4)]
+    for n in range(600):
+        g, mode = groups[n % 6], ("unit", "interval")[n // 6 % 2]
+        space = random_space(rng, g)
+        ranks = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        levels = [SimplicialGroup(space, r) for r in ranks]
+        units = [random_order_unit(rng, levels[0], max_coeff=40)]
+        maps = []
+        for src, tgt in zip(levels, levels[1:]):
+            cols = []
+            for i in range(src.rank):  # column i reaches coordinate i mod rank, so units stay units
+                targets = [i % tgt.rank] + [rng.randrange(tgt.rank) for _ in range(rng.randint(0, 1))]
+                targets += range(src.rank, tgt.rank) if i == 0 else []
+                col = tgt.zero()
+                for k in targets:
+                    vec = tgt.basis_vector(k).translate(rng.randrange(g.order))
+                    for delta in space.sub.members:
+                        col = col + vec.translate(delta)
+                cols.append(col)
+            f = map_new(src, tgt, cols)
+            nxt = map_apply(f, units[-1])
+            if mode == "interval":
+                nxt = nxt + random_cone_vector(rng, tgt, max_coeff=2)
+            maps.append(f)
+            units.append(nxt)
+        realized = realize_tower(tower_new(levels, maps, units=units, mode=mode))
+        shifts = [realized_shifts_reference(G, u) for G, u in zip(levels, units)]
+        assert [[list(c.shifts) for c in r.components] for r in realized.rings] == shifts
+        for k, spec in enumerate(realized.specs):
+            assert verify_hom_spec(spec)
+            got = [(c.target_component, c.source_component, c.twist_coset, [l for r in c.slot_map for l in r])
+                   for c in spec.certificate]
+            assert got == slot_maps_reference(space, shifts[k], shifts[k + 1], maps[k])

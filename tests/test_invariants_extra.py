@@ -61,7 +61,7 @@ def test_verify_hom_spec_rejects_tampering():
         target_component=first.target_component,
         source_component=first.source_component,
         twist_coset=first.twist_coset,
-        slot_map=(2,),  # the x-class slot, but the copy needs the identity class
+        slot_map=(range(2, 3),),  # the x-class slot, but the copy needs the identity class
     )
     tampered = HomSpec(
         source=spec.source,
@@ -98,7 +98,7 @@ def test_verify_hom_spec_rejects_tampering():
         target=spec.target,
         matrix=spec.matrix,
         unital=spec.unital,
-        certificate=(replace(first, slot_map=first.slot_map + (1,)),) + spec.certificate[1:],
+        certificate=(replace(first, slot_map=first.slot_map + (range(1, 2),)),) + spec.certificate[1:],
     )
     assert verify_hom_spec(widened) == Verdict(False, "slot_count")
 
@@ -109,6 +109,46 @@ def test_verify_hom_spec_rejects_tampering():
     assert verify_hom_spec(overclaimed) == Verdict(False, "unital_coverage")
 
 
+def test_verify_hom_spec_rejects_slots_outside_the_component():
+    # a one-slot copy into the 3-slot component M3(1, 1, x): slot -3 would
+    # alias slot 0 by negative indexing, and slot 7 would index past the end
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    R = realize_simplicial(G, G.element([[1, 0]])).ring
+    S = realize_simplicial(G, G.element([[2, 1]])).ring
+    spec = hom_realizable(R, S, map_new(G, G, [G.element([[1, 0]])]), unital=False)
+    assert spec.certificate[0].slot_map == (range(0, 1),)
+    assert verify_hom_spec(spec)
+    for slot_map in [(range(-3, -2),), (range(7, 8),), (range(3, 4),), (range(0, 2, 2),), (range(0, 1), range(2, 2))]:
+        moved = replace(spec, certificate=(replace(spec.certificate[0], slot_map=slot_map),))
+        assert verify_hom_spec(moved) == Verdict(False, "slot_range"), slot_map
+
+
+def test_verify_hom_spec_checks_each_range():
+    # M2(1, 1) into M4(1, 1, 1, 1) and into M3(1, 1, x) along the identity class map
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    R = realize_simplicial(G, G.element([[2, 0]])).ring
+    one = map_new(G, G, [G.element([[1, 0]])])
+    wide = hom_realizable(R, realize_simplicial(G, G.element([[4, 0]])).ring, one, unital=False)
+    assert wide.certificate[0].slot_map == (range(0, 2),)
+
+    def with_slots(spec, *slot_map):
+        return replace(spec, certificate=(replace(spec.certificate[0], slot_map=slot_map),))
+
+    assert verify_hom_spec(with_slots(wide, range(3, 4), range(0, 1)))
+    # one slot short of the source component
+    assert verify_hom_spec(with_slots(wide, range(0, 1))) == Verdict(False, "slot_count")
+    # two slots, but every other one: a range must have step 1
+    assert verify_hom_spec(with_slots(wide, range(0, 4, 2))) == Verdict(False, "slot_range")
+    # two ranges of one copy that overlap
+    assert verify_hom_spec(with_slots(wide, range(1, 2), range(1, 2))) == Verdict(False, "reused_slot")
+    narrow = hom_realizable(R, realize_simplicial(G, G.element([[2, 1]])).ring, one, unital=False)
+    assert verify_hom_spec(narrow)
+    # a range that runs from the identity-class slots into the x-class slot
+    assert verify_hom_spec(with_slots(narrow, range(1, 3))) == Verdict(False, "class_mismatch")
+
+
 def test_class_group_rank_ignores_matrix_sizes():
     # class data depends on components and shift cosets, never on entry counts
     Z2 = cyclic_group(2)
@@ -117,3 +157,38 @@ def test_class_group_rank_ignores_matrix_sizes():
     big = matricial_ring(space, [(4, [0, 0, 0, 0]), (2, [1, 1])])
     assert k0_of_matricial(small).group == k0_of_matricial(big).group
     assert k0_of_matricial(small).group.basis() == k0_of_matricial(big).group.basis()
+
+
+def test_verify_hom_spec_reads_a_range_across_runs_of_one_class():
+    # over D3 with D = <s>, the shifts 1 and s give slots of one class, so
+    # one range may cover the runs of both
+    d3 = dihedral_group(3)
+    space = coset_space(d3, subgroup_closure(d3, [3]))
+    R = matricial_ring(space, [(2, [0, 0])])
+    S = matricial_ring(space, [(2, [0, 3])])
+    G = k0_of_matricial(R).group
+    assert k0_of_matricial(S) == k0_of_matricial(R)
+    spec = hom_realizable(R, S, map_new(G, G, [G.basis_vector(0)]), unital=True)
+    assert verify_hom_spec(spec)
+    spanning = replace(spec, certificate=(replace(spec.certificate[0], slot_map=(range(0, 2),)),))
+    assert verify_hom_spec(spanning)
+
+
+def test_verify_hom_spec_reads_a_range_across_runs_of_two_classes():
+    # M2(1, x) into itself over Z/2: one range may cover source runs of two
+    # classes when the target slots it names carry the same two classes
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    R = realize_simplicial(G, G.element([[1, 1]])).ring
+    spec = hom_realizable(R, R, map_new(G, G, [G.basis_vector(0)]), unital=True)
+    assert spec.certificate[0].slot_map == (range(0, 1), range(1, 2))
+    spanning = replace(spec, certificate=(replace(spec.certificate[0], slot_map=(range(0, 2),)),))
+    assert verify_hom_spec(spanning)
+    swapped = replace(spec, certificate=(replace(spec.certificate[0], slot_map=(range(1, 2), range(0, 1))),))
+    assert verify_hom_spec(swapped) == Verdict(False, "class_mismatch")
+    # into M3(1, 1, x), the range 0..2 names two slots of the identity class
+    wider = realize_simplicial(G, G.element([[2, 1]])).ring
+    into = hom_realizable(R, wider, map_new(G, G, [G.basis_vector(0)]), unital=False)
+    assert into.certificate[0].slot_map == (range(0, 1), range(2, 3))
+    both = replace(into, certificate=(replace(into.certificate[0], slot_map=(range(0, 2),)),))
+    assert verify_hom_spec(both) == Verdict(False, "class_mismatch")
