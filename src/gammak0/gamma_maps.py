@@ -7,8 +7,8 @@ makes that independent of the representative.  The matrix is built once, so
 applying a map is a sparse mat-vec.  ``map_new`` validates columns that come
 from outside; the identity and composites of validated maps are equivariant
 by construction, so ``identity_map`` and ``map_compose`` build the matrix
-without re-checking.  Kernels are computed exactly from the same matrix by
-extracting a lattice basis by normal form.
+without re-checking.  The kernel of a map is ``intlinalg.kernel_basis`` of the
+same matrix, which is already the canonical HNF used for equality tests.
 """
 
 from __future__ import annotations
@@ -111,12 +111,7 @@ def map_matrix(f: GammaLinearMap) -> list[list[int]]:
 
 def kernel_lattice(f: GammaLinearMap) -> list[list[int]]:
     """Canonical HNF of the flattened kernel; used for lattice equality tests."""
-    src = f.source
-    if src.flat_dim() == 0:
-        return []
-    return intlinalg.hnf(
-        intlinalg.kernel_basis(map_matrix(f), src.flat_dim()), src.flat_dim()
-    )
+    return intlinalg.kernel_basis(map_matrix(f), f.source.flat_dim())
 
 
 def kernels_equal(f: GammaLinearMap, g: GammaLinearMap) -> bool:

@@ -96,7 +96,8 @@ def hom_realizable(
     the greedy per-class assignment then always completes.  A slot of shift
     s has class the left coset of s^{-1}, which names the right coset D*s; in
     a copy twisted by coset c it needs a target slot of class s^{-1} * (coset
-    c).  Each target component keeps, per class, its free slot intervals in
+    c).  Twists and classes are cosets of the target's stabilizer, which may
+    differ from the source's.  Each target component keeps, per class, its free slot intervals in
     increasing order, and a copy takes, run by run, the lowest free slots of
     the class the run needs, one range per interval it touches.
     """
@@ -113,14 +114,13 @@ def hom_realizable(
     else:
         if not leq(image_unit, unit_s):
             raise NotRealizable("image of the unit class exceeds the target capacity")
-    action, inv = source.space.action, source.space.parent.inv
-    target_action, target_inv = target.space.action, target.space.parent.inv
+    action, inv = target.space.action, target.space.parent.inv
     certificate: list[CopyEmbedding] = []
     for j, host in enumerate(target.components):
         free: dict[int, list[tuple[int, int]]] = {}  # class -> free [lo, hi), lowest last
         hi = host.size
         for s, k in reversed(host.runs):
-            free.setdefault(target_action[target_inv[s]][0], []).append((hi - k, hi))
+            free.setdefault(action[inv[s]][0], []).append((hi - k, hi))
             hi -= k
         for i, comp in enumerate(source.components):
             for coset, mult in enumerate(matrix.columns[i].coord(j)):
@@ -168,7 +168,7 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
     the copies cover the matrix entry by entry (``matrix_coverage``); and a
     unital spec covers every target slot (``unital_coverage``).
     """
-    space = spec.source.space
+    space = spec.target.space
     action, inv = space.action, space.parent.inv
     targets = [  # per target component: where each run ends, and the class of its slots
         ([*accumulate(k for _, k in comp.runs)], [action[inv[s]][0] for s, _ in comp.runs])

@@ -6,6 +6,9 @@ size.  Lattices are represented by generating rows; the row-style Hermite
 normal form (positive pivots, entries above a pivot reduced into [0, pivot))
 is the canonical form used for equality tests.  It is unique
 for its lattice, so any elimination that reaches it gives the same answer.
+``hnf`` is the only Hermite reduction: ``kernel_basis`` runs it once on the
+transpose augmented by an identity block and reads the kernel, already in
+canonical form, off the trailing rows.
 
 The elimination is Euclid's algorithm on whole rows.  In each column the row
 whose entry there has the least absolute value becomes the pivot, and every
@@ -27,11 +30,15 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def _hnf_inplace(mat: list[list[int]]) -> int:
-    """Reduce ``mat`` to row HNF in place; returns the rank."""
+def hnf(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """Canonical row HNF of the lattice spanned by ``rows``; zero rows dropped."""
+    mat = [list(r) for r in rows]
+    for r in mat:
+        if len(r) != width:
+            raise ValueError("row width mismatch")
     nrows = len(mat)
     row = 0
-    for col in range(len(mat[0]) if mat else 0):
+    for col in range(width):
         while True:
             live = [i for i in range(row, nrows) if mat[i][col]]
             if not live:
@@ -55,40 +62,24 @@ def _hnf_inplace(mat: list[list[int]]) -> int:
             if q:
                 mat[i] = [p - q * r for p, r in zip(mat[i], mat[row])]
         row += 1
-    return row
-
-
-def hnf(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Canonical row HNF of the lattice spanned by ``rows``; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    for r in mat:
-        if len(r) != width:
-            raise ValueError("row width mismatch")
-    rank = _hnf_inplace(mat)
-    return mat[:rank]
+    return mat[:row]
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Lattice basis of {z in Z^ncols : matrix @ z = 0}.
+    """Canonical HNF basis of {z in Z^ncols : matrix @ z = 0}.
 
-    Augment the transpose with an identity block and row-reduce; rows whose
-    transposed part vanished record the integer relations among the columns.
+    The HNF of the transpose augmented by an identity block (Cohen, GTM 138,
+    section 2.4) ends in the rows whose transposed part vanished; their tails
+    record the integer relations among the columns.  Those rows have their
+    pivots in the identity block and are reduced against each other, so the
+    tails are already the canonical HNF of the kernel.
     """
     nrows = len(matrix)
-    aug = []
-    for j in range(ncols):
-        row = [matrix[i][j] for i in range(nrows)]
-        row.extend(1 if k == j else 0 for k in range(ncols))
-        aug.append(row)
-    _hnf_inplace(aug)
-    basis = []
-    for row in aug:
-        if any(row[:nrows]):
-            continue
-        tail = row[nrows:]
-        if any(tail):
-            basis.append(tail)
-    return basis
+    aug = [
+        [matrix[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)]
+        for j in range(ncols)
+    ]
+    return [row[nrows:] for row in hnf(aug, nrows + ncols) if not any(row[:nrows])]
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> int:

@@ -316,6 +316,11 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert main(["k0", str(missing)]) == 2
     wrong = write(tmp_path, "w.json", "ring", {"group": z2_payload()})
     assert main(["k0", wrong]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["k0", str(listed)]) == 2
+    assert capsys.readouterr().err == f"error: {listed}: problem file must be a JSON object\n"
 
 
 @pytest.mark.parametrize(
@@ -798,6 +803,42 @@ def test_tower_units_without_mode_is_schema_error(tmp_path):
     payload["mode"] = "none"
     path = write(tmp_path, "t.json", "tower", payload)
     assert main(["realize-tower", path]) == 2
+
+
+def repeating(payload, **fields):
+    return dict(payload, repeat_last=True, **fields)
+
+
+@pytest.mark.parametrize(
+    "command, kind, payload, message",
+    [
+        ("colimit-eq", "tower", repeating(tower_payload(), ranks=[1], maps=[], units=[[[1, 0]]]),
+         "repeat_last needs at least one map"),
+        ("colimit-eq", "tower",
+         repeating(tower_payload(), ranks=[1, 2], maps=[{"columns": [[[1, 0], [0, 0]]]}],
+                   units=[[[1, 0]], [[1, 0], [0, 0]]]),
+         "repeated map must be an endomorphism"),
+        ("realize-tower", "tower", repeating(tower_payload(mode="unit")),
+         "repeated map must fix the last unit in unit mode"),
+        ("realize-tower", "tower", {k: v for k, v in tower_payload(mode="none").items() if k != "units"},
+         "tower must be in unit or interval mode"),
+        ("extend", "tower", dict(tower_payload(), units=[[[0, 0]], [[1, 1]]]),
+         "the interval top must be an order-unit of the base"),
+        ("realize", "simplicial", simplicial_payload(), "realize: provide a unit in the payload or via --unit"),
+        ("colimit-eq", "tower", dict(tower_payload(), p={"level": 0, "value": [[1, 0]]}),
+         "tower: colimit-eq needs elements 'p' and 'q'"),
+        ("colimit-eq", "tower",
+         dict(tower_payload(), p={"level": 2, "value": [[1, 0]]}, q={"level": 0, "value": [[0, 0]]}),
+         "p: level 2 beyond the tower"),
+    ],
+    ids=["repeat_without_maps", "repeat_non_endomorphism", "repeat_moves_unit", "realize_tower_mode_none",
+         "extend_non_order_unit", "realize_without_unit", "colimit_without_q", "level_beyond_tower"],
+)
+def test_cli_reachable_rejections_exit_2(tmp_path, capsys, command, kind, payload, message):
+    path = write(tmp_path, "p.json", kind, payload)
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 # Integers stay small. A ring certificate lists one shift per diagonal slot,

@@ -152,6 +152,37 @@ def test_hom_realizable_takes_the_lowest_free_slots_of_each_class():
     assert verify_hom_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "src_gens, tgt_gens, unit, column",
+    [
+        ([3], [], [1, 0, 0], [1, 0, 0, 1, 0, 0]),  # <b> -> trivial, column 1 + b
+        ([1], [], [1, 0], [1, 1, 1, 0, 0, 0]),  # <a> -> trivial, column 1 + a + a^2
+        ([], [3], [1, 0, 0, 0, 0, 1], [1, 0, 0]),  # trivial -> <b>, the basis vector
+    ],
+)
+def test_hom_realizable_across_stabilizers(src_gens, tgt_gens, unit, column):
+    """Over D3 a map between modules over different stabilizers is realized
+    with twists and slot classes read in the target's coset space: every
+    certificate verifies, and the classes of the target slots it takes add up
+    to the image of the source unit."""
+    d3 = dihedral_group(3)
+    S, T = simplicial_over(d3, src_gens, 1), simplicial_over(d3, tgt_gens, 1)
+    u = S.element([unit])
+    f = map_new(S, T, [T.element([column])])
+    image = map_apply(f, u)
+    R, Q = realize_simplicial(S, u).ring, realize_simplicial(T, image).ring
+    spec = hom_realizable(R, Q, f, unital=True)
+    assert verify_hom_spec(spec)
+    space = T.space
+    shifts = Q.components[0].shifts
+    taken = [0] * space.num_cosets
+    for copy in spec.certificate:
+        for r in copy.slot_map:
+            for l in r:
+                taken[space.elt_to_coset[d3.inv[shifts[l]]]] += 1
+    assert T.element([taken]) == image
+
+
 def test_hom_compose_functorial():
     Z2 = cyclic_group(2)
     G = simplicial_over(Z2, [], 1)

@@ -195,6 +195,18 @@ def test_m1_augmentation_refutes_by_each_rule():
     assert verify_unperforation_witness(G1, total, x, found)
 
 
+def test_m1_augmentation_witness_answers_past_the_budget():
+    """Over Z/3 with D = Z/3 (one coset) and x = (40, 0), the box (bound 42)
+    is past the budget, so the witness the augmentation meets at d = 1 is the
+    answer: b = 1 and y = x."""
+    g = cyclic_group(3)
+    G = simplicial_over(g, [1], 2)
+    a, x = GroupRingElt.one(g), G.element([[40], [0]])
+    found = search_unperforation_witness_m1(G, a, x)
+    assert found == SdpWitness(m=1, b=((GroupRingElt.one(g),),), y=(x,))
+    assert verify_unperforation_witness(G, a, x, found)
+
+
 def test_m1_search_finds_easy_witness():
     Z2, one, x = z2_setup()
     G = simplicial_over(Z2, [], 1)
