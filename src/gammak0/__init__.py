@@ -15,7 +15,6 @@ from .errors import (
     EngineError,
     GroupMismatch,
     IndexOutOfRange,
-    InternalVerificationFailed,
     NoIdentity,
     NoInverse,
     NotAssociative,

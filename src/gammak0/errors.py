@@ -78,10 +78,6 @@ class TargetLacksSdp(EngineError):
     pass
 
 
-class InternalVerificationFailed(EngineError):
-    """A construction failed its own postcondition check; indicates a bug."""
-
-
 # limits
 class DeltaMismatch(EngineError):
     pass

@@ -1,16 +1,19 @@
 """Symbolic graded matricial rings over a group-ring division coefficient ring.
 
-A descriptor lists matrix components by runs of diagonal slots that share a
-shift; the base field is a formal tag, since supports, homogeneous
-dimensions, class groups, and graded isomorphism depend only on the
-stabilizer subgroup and the shifts.
+Up to graded isomorphism, a block M_n(F[D])(g_1, ..., g_n) is the number of
+its shifts in each right coset D*g: permuting the slots is conjugation by a
+permutation matrix, and replacing g by d*g with d in D is conjugation by a
+homogeneous unit.  A descriptor stores each component as those counts,
+indexed by the class of a slot, the left coset of g^{-1}, which names D*g.
+The base field is a formal tag, since supports, homogeneous dimensions, class
+groups and graded isomorphism depend only on the stabilizer subgroup and the
+counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import DeltaMismatch
@@ -20,25 +23,16 @@ from .ordered_simplicial import GammaVector, SimplicialGroup
 
 @dataclass(frozen=True)
 class MatricialComponent:
-    """One block M_size(F[D])(shifts), stored as runs ``(shift, count)`` of
-    consecutive diagonal slots with one shift.  ``size`` and the per-slot
-    ``shifts`` are derived from the runs; every invariant below reads the
-    runs, so none costs time that grows with the size."""
+    """One block, stored as the number of its diagonal slots in each class,
+    indexed by coset; ``size`` is their sum."""
 
-    runs: tuple[tuple[int, int], ...]
+    counts: tuple[int, ...]
     size: int = field(init=False)
 
     def __post_init__(self):
-        if not self.runs:
-            raise ValueError("component size must be at least 1")
-        if any(k < 1 for _, k in self.runs):
-            raise ValueError("every run holds at least one slot")
-        object.__setattr__(self, "size", sum(k for _, k in self.runs))
-
-    @property
-    def shifts(self) -> tuple[int, ...]:
-        """One shift per diagonal slot, expanded from the runs."""
-        return tuple(chain.from_iterable(repeat(s, k) for s, k in self.runs))
+        object.__setattr__(self, "size", sum(self.counts))
+        if self.size < 1 or min(self.counts) < 0:
+            raise ValueError("a component holds at least one slot and no negative count")
 
 
 @dataclass(frozen=True)
@@ -46,90 +40,75 @@ class MatricialRingDesc:
     space: CosetSpace
     components: tuple[MatricialComponent, ...]
 
-    def __post_init__(self):
-        order = self.space.parent.order
-        for comp in self.components:
-            for s, _ in comp.runs:
-                if s < 0 or s >= order:
-                    raise ValueError(f"shift {s} out of range")
-
     @property
     def num_components(self) -> int:
         return len(self.components)
 
+    def slot_classes(self) -> list[list[tuple[int, int]]]:
+        """Per component, its ``(class, count)`` pairs of nonzero count in
+        increasing order of the class representative.  This is the diagonal
+        layout: each class fills one interval, and its slots carry the shift
+        rep_c^{-1}."""
+        reps = self.space.reps
+        order = sorted(range(self.space.num_cosets), key=reps.__getitem__)
+        return [[(c, comp.counts[c]) for c in order if comp.counts[c]] for comp in self.components]
+
     def describe(self) -> str:
-        G = self.space.parent
+        G, reps = self.space.parent, self.space.reps
         parts = []
-        for comp in self.components:
-            shift_names = ",".join(G.name_of(s) for s in comp.shifts)
+        for comp, classes in zip(self.components, self.slot_classes()):
+            shift_names = ",".join(G.name_of(G.inv[reps[c]]) for c, k in classes for _ in range(k))
             parts.append(f"M{comp.size}({shift_names})")
         return " (+) ".join(parts) if parts else "0"
 
 
 def matricial_ring(space: CosetSpace, components: Sequence[tuple[int, Sequence[int]]]) -> MatricialRingDesc:
-    """Descriptor from (size, per-slot shift list) pairs.  Each list is
-    collected by value into one run per distinct shift, in order of first
-    appearance: permuting the shifts of a component is conjugation by a
-    permutation matrix, a graded isomorphism, so no invariant reads the
-    slot order."""
+    """Descriptor from (size, per-slot shift list) pairs.  A slot of shift s
+    counts toward the class of s^{-1}; this is the only place that reads a
+    shift, so the slot order of a loaded list is not kept."""
+    order, inv, of = space.parent.order, space.parent.inv, space.elt_to_coset
     comps = []
     for p, shifts in components:
         if p < 1:
             raise ValueError("component size must be at least 1")
         if len(shifts) != p:
             raise ValueError("one shift per diagonal slot required")
-        comps.append(MatricialComponent(runs=tuple(Counter(shifts).items())))
+        counts = [0] * space.num_cosets
+        for s, k in Counter(shifts).items():
+            if not 0 <= s < order:
+                raise ValueError(f"shift {s} out of range")
+            counts[of[inv[s]]] += k
+        comps.append(MatricialComponent(counts=tuple(counts)))
     return MatricialRingDesc(space=space, components=tuple(comps))
-
-
-def right_coset_counts(space: CosetSpace, comp: MatricialComponent) -> list[int]:
-    """Slots of a component per right coset D*s of their shift, indexed by the
-    left coset of s^{-1}, which is the class of a slot of shift s; the class
-    data below depends on the shifts only through these counts."""
-    action, inv = space.action, space.parent.inv
-    counts = [0] * space.num_cosets
-    for s, k in comp.runs:
-        counts[action[inv[s]][0]] += k
-    return counts
 
 
 def homog_dim(ring: MatricialRingDesc, d: int) -> int:
     """Dimension of the degree-d homogeneous component over the base field.
 
     Entry (k, l) of a component contributes exactly when the conjugated
-    degree g_k*d*g_l^{-1} lands in the stabilizer subgroup D.  For shifts
-    counted at a and b by ``right_coset_counts`` that holds iff d sends left
-    coset b to left coset a, so a component contributes sum_b m[d.b] * m[b],
-    at a cost linear in its number of runs.
+    degree g_k*d*g_l^{-1} lands in the stabilizer subgroup D.  For slots of
+    classes a and b that holds iff d sends class b to class a, so a component
+    of counts m contributes sum_b m[d.b] * m[b], at a cost linear in the
+    number of cosets.
     """
-    space = ring.space
-    moved = space.action[d]
+    moved = ring.space.action[d]
     count = 0
     for comp in ring.components:
-        m = right_coset_counts(space, comp)
+        m = comp.counts
         count += sum(m[a] * mb for a, mb in zip(moved, m))
     return count
 
 
 def k0_of_matricial(ring: MatricialRingDesc) -> GammaVector:
     """Class data: the unit class, whose ``.group`` is the class group with one
-    basis class per component; it collects the left cosets of the inverted
-    shifts."""
-    space = ring.space
-    group = SimplicialGroup(space, ring.num_components)
-    flat = tuple(m for comp in ring.components for m in right_coset_counts(space, comp))
-    return GammaVector(group, flat)
-
-
-def component_key(space: CosetSpace, comp: MatricialComponent) -> tuple[int, tuple[int, ...]]:
-    return comp.size, tuple(right_coset_counts(space, comp))
+    basis class per component; coordinate i is the counts of component i."""
+    group = SimplicialGroup(ring.space, ring.num_components)
+    return GammaVector(group, tuple(m for comp in ring.components for m in comp.counts))
 
 
 def graded_iso(r: MatricialRingDesc, s: MatricialRingDesc) -> bool:
-    """Graded isomorphism: components match up to permutation, and matched
-    components have equal sizes and equal multisets of shift right-cosets."""
+    """Graded isomorphism: the components match up to permutation, and matched
+    components have equal counts."""
     if r.space != s.space:
         raise DeltaMismatch("descriptors over different coset spaces")
-    keys_r = sorted(component_key(r.space, c) for c in r.components)
-    keys_s = sorted(component_key(s.space, c) for c in s.components)
-    return keys_r == keys_s
+    return sorted(c.counts for c in r.components) == sorted(c.counts for c in s.components)

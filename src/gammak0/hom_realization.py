@@ -3,9 +3,9 @@
 ``realize_simplicial`` turns an ordered pair (group, order-unit) into a
 matricial descriptor whose class data reproduces it on the nose.
 ``hom_realizable`` turns a positive class map into a block-embedding
-certificate: a per-component assignment of diagonal slots with matching
-shift cosets, taken and checked run by run.  Towers of groups are realized
-level by level.
+certificate: a per-component assignment of diagonal slots of matching
+class, taken and checked one class run at a time.  Towers of groups are
+realized level by level.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
-    InternalVerificationFailed,
     NotOrderUnit,
     NotPositiveMap,
     NotRealizable,
@@ -60,27 +59,13 @@ class HomSpec:
 
 
 def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSimplicial:
-    """Matricial descriptor whose class data is (group, unit) exactly.
-
-    Coordinate i contributes one run of diagonal slots per coset c of
-    nonzero mass, as many slots as the mass, each shifted by the inverse of
-    the representative of c; the runs go in increasing order of that
-    representative.
-    """
-    space = group.space
-    G = space.parent
+    """Matricial descriptor whose class data is (group, unit) exactly:
+    component i holds as many slots of each class as coordinate i has mass
+    on that coset."""
     if not is_order_unit(group, unit):
         raise NotOrderUnit("every coordinate of the unit must carry positive mass")
-    order = sorted(range(space.num_cosets), key=space.reps.__getitem__)
-    components = []
-    for i in range(group.rank):
-        coord = unit.coord(i)
-        runs = tuple((G.inv[space.reps[c]], coord[c]) for c in order if coord[c])
-        components.append(MatricialComponent(runs=runs))
-    ring = MatricialRingDesc(space=space, components=tuple(components))
-    if k0_of_matricial(ring) != unit:
-        raise InternalVerificationFailed("round trip does not reproduce the unit")
-    return RealizedSimplicial(ring=ring)
+    components = tuple(MatricialComponent(counts=unit.coord(i)) for i in range(group.rank))
+    return RealizedSimplicial(ring=MatricialRingDesc(space=group.space, components=components))
 
 
 def hom_realizable(
@@ -93,13 +78,14 @@ def hom_realizable(
 
     Realizable exactly when the image of the source unit class fits under
     the target unit class slot by slot (with equality in the unital case);
-    the greedy per-class assignment then always completes.  A slot of shift
-    s has class the left coset of s^{-1}, which names the right coset D*s; in
-    a copy twisted by coset c it needs a target slot of class s^{-1} * (coset
-    c).  Twists and classes are cosets of the target's stabilizer, which may
-    differ from the source's.  Each target component keeps, per class, its free slot intervals in
-    increasing order, and a copy takes, run by run, the lowest free slots of
-    the class the run needs, one range per interval it touches.
+    the greedy per-class assignment then always completes.  A source slot
+    of class c carries shift rep_c^{-1}, with rep_c read in the source's
+    coset space; in a copy twisted by coset t it needs a target slot of
+    class rep_c * (coset t).  Twists and needed classes are cosets of the
+    target's stabilizer, which may differ from the source's.  Each class of
+    a target component is one interval of its diagonal, so a copy takes,
+    class run by class run, one range of the lowest free slots of the class
+    the run needs.
     """
     unit_r = k0_of_matricial(source)
     unit_s = k0_of_matricial(target)
@@ -114,37 +100,31 @@ def hom_realizable(
     else:
         if not leq(image_unit, unit_s):
             raise NotRealizable("image of the unit class exceeds the target capacity")
-    action, inv = target.space.action, target.space.parent.inv
+    action, reps = target.space.action, source.space.reps
+    runs_of = [[(reps[c], k) for c, k in classes] for classes in source.slot_classes()]
     certificate: list[CopyEmbedding] = []
-    for j, host in enumerate(target.components):
-        free: dict[int, list[tuple[int, int]]] = {}  # class -> free [lo, hi), lowest last
-        hi = host.size
-        for s, k in reversed(host.runs):
-            free.setdefault(action[inv[s]][0], []).append((hi - k, hi))
-            hi -= k
-        for i, comp in enumerate(source.components):
-            for coset, mult in enumerate(matrix.columns[i].coord(j)):
-                needs = [(action[inv[s]][coset], k) for s, k in comp.runs] if mult else []
+    for j, host in enumerate(target.slot_classes()):
+        free: dict[int, list[int]] = {}  # class -> [its lowest free slot, the end of its interval]
+        end = 0
+        for c, k in host:
+            free[c] = [end, end + k]
+            end += k
+        for i, runs in enumerate(runs_of):
+            for twist, mult in enumerate(matrix.columns[i].coord(j)):
                 for _ in range(mult):
                     slot_map = []
-                    for needed, k in needs:
-                        pool = free.get(needed, [])
-                        while k:
-                            if not pool:
-                                raise NotRealizable(
-                                    f"target component {j} lacks a slot in class {needed}"
-                                )
-                            lo, hi = pool.pop()
-                            if hi - lo > k:
-                                pool.append((lo + k, hi))
-                                hi = lo + k
-                            slot_map.append(range(lo, hi))
-                            k -= hi - lo
+                    for rep, k in runs:
+                        needed = action[rep][twist]
+                        span = free.get(needed)
+                        if span is None or span[1] - span[0] < k:
+                            raise NotRealizable(f"target component {j} lacks a slot in class {needed}")
+                        slot_map.append(range(span[0], span[0] + k))
+                        span[0] += k
                     certificate.append(
                         CopyEmbedding(
                             target_component=j,
                             source_component=i,
-                            twist_coset=coset,
+                            twist_coset=twist,
                             slot_map=tuple(slot_map),
                         )
                     )
@@ -169,10 +149,10 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
     unital spec covers every target slot (``unital_coverage``).
     """
     space = spec.target.space
-    action, inv = space.action, space.parent.inv
-    targets = [  # per target component: where each run ends, and the class of its slots
-        ([*accumulate(k for _, k in comp.runs)], [action[inv[s]][0] for s, _ in comp.runs])
-        for comp in spec.target.components
+    action, reps = space.action, spec.source.space.reps
+    sources = spec.source.slot_classes()
+    targets = [  # per target component: where each class interval ends, and its class
+        ([*accumulate(k for _, k in classes)], [c for c, _ in classes]) for classes in spec.target.slot_classes()
     ]
     taken: list[list[tuple[int, int]]] = [[] for _ in targets]
     demanded: Counter[tuple[int, int, int]] = Counter()
@@ -183,8 +163,8 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
             return Verdict(False, "slot_count")
         ends, classes = targets[j]
         size = ends[-1]
-        runs, intervals = comp.runs, taken[j]
-        n = left = 0  # the next source run and the slots left in the current one
+        runs, intervals = sources[i], taken[j]
+        n = left = 0  # the next source class run and the slots left in the current one
         for r in copy.slot_map:
             lo, hi = r.start, r.stop
             if r.step != 1 or not 0 <= lo < hi <= size:
@@ -192,10 +172,10 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
             intervals.append((lo, hi))
             while lo < hi:
                 if not left:
-                    s, left = runs[n]
-                    needed = action[inv[s]][twist]
+                    c, left = runs[n]
+                    needed = action[reps[c]][twist]
                     n += 1
-                t = bisect_right(ends, lo)  # the target run holding slot lo
+                t = bisect_right(ends, lo)  # the target class interval holding slot lo
                 if classes[t] != needed:
                     return Verdict(False, "class_mismatch")
                 end = hi if hi - lo < left else lo + left

@@ -284,11 +284,13 @@ def ring_from_json(payload: dict) -> MatricialRingDesc:
 
 
 def ring_to_json(ring: MatricialRingDesc) -> dict:
-    """One shift per diagonal slot, expanded from the runs of each component."""
+    """One shift per diagonal slot, in the ring's slot order: rep_c^{-1} for
+    each slot of class c."""
     out = space_to_json(ring.space)
+    reps, inv = ring.space.reps, ring.space.parent.inv
     out["components"] = [
-        {"size": c.size, "shifts": list(chain.from_iterable(repeat(s, k) for s, k in c.runs))}
-        for c in ring.components
+        {"size": c.size, "shifts": list(chain.from_iterable(repeat(inv[reps[cls]], k) for cls, k in classes))}
+        for c, classes in zip(ring.components, ring.slot_classes())
     ]
     return out
 

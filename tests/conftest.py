@@ -35,6 +35,7 @@ from gammak0 import (
     tower_new,
     trivial_subgroup,
 )
+from gammak0.serialize import ring_to_json
 
 
 @pytest.fixture
@@ -336,6 +337,11 @@ def realized_shifts_reference(group: SimplicialGroup, unit: GammaVector) -> list
             shifts += [space.parent.inv[space.reps[c]]] * coord[c]
         out.append(shifts)
     return out
+
+
+def sized_shifts(ring) -> list[tuple[int, tuple[int, ...]]]:
+    """``(size, per-slot shifts)`` of each component, as ``ring_to_json`` writes them."""
+    return [(c["size"], tuple(c["shifts"])) for c in ring_to_json(ring)["components"]]
 
 
 def slot_maps_reference(space: CosetSpace, source_shifts, target_shifts, matrix) -> list[tuple]:

@@ -830,9 +830,12 @@ def repeating(payload, **fields):
         ("colimit-eq", "tower",
          dict(tower_payload(), p={"level": 2, "value": [[1, 0]]}, q={"level": 0, "value": [[0, 0]]}),
          "p: level 2 beyond the tower"),
+        ("k0", "ring", ring_payload([2]), "ring: shift 2 out of range"),
+        ("k0", "ring", ring_payload([-1]), "ring: shift -1 out of range"),
     ],
     ids=["repeat_without_maps", "repeat_non_endomorphism", "repeat_moves_unit", "realize_tower_mode_none",
-         "extend_non_order_unit", "realize_without_unit", "colimit_without_q", "level_beyond_tower"],
+         "extend_non_order_unit", "realize_without_unit", "colimit_without_q", "level_beyond_tower",
+         "shift_past_the_order", "negative_shift"],
 )
 def test_cli_reachable_rejections_exit_2(tmp_path, capsys, command, kind, payload, message):
     path = write(tmp_path, "p.json", kind, payload)

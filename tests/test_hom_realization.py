@@ -13,6 +13,7 @@ from gammak0 import (
     coset_space,
     cyclic_group,
     dihedral_group,
+    graded_iso,
     group_from_table,
     hom_compose,
     hom_realizable,
@@ -30,6 +31,7 @@ from gammak0 import (
     trivial_subgroup,
     verify_hom_spec,
 )
+from gammak0.serialize import ring_from_json, ring_to_json
 from conftest import (
     constant_tower,
     random_cone_vector,
@@ -37,6 +39,7 @@ from conftest import (
     random_space,
     realized_shifts_reference,
     simplicial_over,
+    sized_shifts,
     slot_maps_reference,
     small_groups,
     unit_spreading_map,
@@ -48,7 +51,7 @@ def test_realize_z2_example():
     G = simplicial_over(Z2, [], 1)
     u = G.element([[2, 1]])
     realized = realize_simplicial(G, u)
-    assert [(c.size, c.shifts) for c in realized.ring.components] == [(3, (0, 0, 1))]
+    assert sized_shifts(realized.ring) == [(3, (0, 0, 1))]
     assert k0_of_matricial(realized.ring) == u
 
 
@@ -57,7 +60,7 @@ def test_realize_coset_module():
     G = simplicial_over(d3, [3], 1)
     u = G.basis_vector(0)
     realized = realize_simplicial(G, u)
-    assert [(c.size, c.shifts) for c in realized.ring.components] == [(1, (0,))]
+    assert sized_shifts(realized.ring) == [(1, (0,))]
 
 
 def test_realize_rejects_zero_coordinate():
@@ -73,21 +76,27 @@ def test_realize_orders_slots_by_coset_representative():
     g = group_from_table([[1, 0], [0, 1]])
     S = SimplicialGroup(coset_space(g, trivial_subgroup(g)), 1)
     realized = realize_simplicial(S, S.element([[2, 3]]))
-    assert realized.ring.components[0].shifts == (0, 0, 0, 1, 1)
+    assert sized_shifts(realized.ring)[0][1] == (0, 0, 0, 1, 1)
     assert k0_of_matricial(realized.ring) == S.element([[2, 3]])
 
 
 def test_realize_round_trip_random():
+    """A realized ring written as one shift per slot and loaded back has the
+    unit as its class data and is graded isomorphic to the original: the
+    shift expansion of ``ring_to_json`` and the class rule of the loader
+    agree."""
     rng = random.Random(101)
     for g in small_groups():
         for gens in ([], [g.order - 1]):
             G = simplicial_over(g, gens, rng.randint(1, 4))
             for _ in range(4):
                 u = random_order_unit(rng, G)
-                realized = realize_simplicial(G, u)
-                k0 = k0_of_matricial(realized.ring)
+                ring = realize_simplicial(G, u).ring
+                loaded = ring_from_json(ring_to_json(ring))
+                k0 = k0_of_matricial(loaded)
                 assert k0.group.rank == G.rank
                 assert k0 == u
+                assert graded_iso(loaded, ring)
 
 
 def test_hom_realizable_unital_example():
@@ -140,15 +149,17 @@ def test_hom_realizable_checks_each_class_group():
 
 
 def test_hom_realizable_takes_the_lowest_free_slots_of_each_class():
-    # over D3 with D = <s>, M3(1, r, s) has two slots of the class D, apart:
-    # two one-slot copies fill the first, then the third
+    # over D3 with D = <s>, the shifts 1, r, s put two slots in the class D
+    # and one in another; a loaded ring keeps the counts, not the slot order,
+    # so the class D fills slots 0 and 1 and two one-slot copies take them
     d3 = dihedral_group(3)
     space = coset_space(d3, subgroup_closure(d3, [3]))
     R = matricial_ring(space, [(1, [0])])
     S = matricial_ring(space, [(3, [0, 1, 3])])
+    assert S == matricial_ring(space, [(3, [3, 0, 1])]) == matricial_ring(space, [(3, [0, 0, 1])])
     G, H = k0_of_matricial(R).group, k0_of_matricial(S).group
     spec = hom_realizable(R, S, map_new(G, H, [H.basis_vector(0).scale(2)]), unital=False)
-    assert [c.slot_map for c in spec.certificate] == [(range(0, 1),), (range(2, 3),)]
+    assert [c.slot_map for c in spec.certificate] == [(range(0, 1),), (range(1, 2),)]
     assert verify_hom_spec(spec)
 
 
@@ -174,7 +185,7 @@ def test_hom_realizable_across_stabilizers(src_gens, tgt_gens, unit, column):
     spec = hom_realizable(R, Q, f, unital=True)
     assert verify_hom_spec(spec)
     space = T.space
-    shifts = Q.components[0].shifts
+    shifts = sized_shifts(Q)[0][1]
     taken = [0] * space.num_cosets
     for copy in spec.certificate:
         for r in copy.slot_map:
@@ -239,7 +250,7 @@ def test_realize_tower_constant():
     t = constant_tower(G, 3, unit=u)
     realized = realize_tower(t)
     assert all(
-        [(c.size, c.shifts) for c in r.components] == [(1, (0,))] for r in realized.rings
+        sized_shifts(r) == [(1, (0,))] for r in realized.rings
     )
     assert all(s.unital for s in realized.specs)
 
@@ -252,8 +263,8 @@ def test_realize_tower_mult_by_one_plus_x():
     u2 = G.element([[1, 1]])
     t = tower_new([G, G], [m], units=[u1, u2], mode="unit")
     realized = realize_tower(t)
-    assert [(c.size, c.shifts) for c in realized.rings[0].components] == [(1, (0,))]
-    assert [(c.size, c.shifts) for c in realized.rings[1].components] == [(2, (0, 1))]
+    assert sized_shifts(realized.rings[0]) == [(1, (0,))]
+    assert sized_shifts(realized.rings[1]) == [(2, (0, 1))]
     spec = realized.specs[0]
     assert spec.unital
     assert spec.matrix == m
@@ -320,7 +331,7 @@ def test_realize_tower_matches_the_per_slot_reference():
             units.append(nxt)
         realized = realize_tower(tower_new(levels, maps, units=units, mode=mode))
         shifts = [realized_shifts_reference(G, u) for G, u in zip(levels, units)]
-        assert [[list(c.shifts) for c in r.components] for r in realized.rings] == shifts
+        assert [[list(s) for _, s in sized_shifts(r)] for r in realized.rings] == shifts
         for k, spec in enumerate(realized.specs):
             assert verify_hom_spec(spec)
             got = [(c.target_component, c.source_component, c.twist_coset, [l for r in c.slot_map for l in r])
