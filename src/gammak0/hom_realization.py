@@ -104,10 +104,10 @@ def hom_realizable(
     runs_of = [[(reps[c], k) for c, k in classes] for classes in source.slot_classes()]
     certificate: list[CopyEmbedding] = []
     for j, host in enumerate(target.slot_classes()):
-        free: dict[int, list[int]] = {}  # class -> [its lowest free slot, the end of its interval]
+        free: dict[int, int] = {}  # class -> its lowest free slot; the unit check above leaves room
         end = 0
         for c, k in host:
-            free[c] = [end, end + k]
+            free[c] = end
             end += k
         for i, runs in enumerate(runs_of):
             for twist, mult in enumerate(matrix.columns[i].coord(j)):
@@ -115,11 +115,8 @@ def hom_realizable(
                     slot_map = []
                     for rep, k in runs:
                         needed = action[rep][twist]
-                        span = free.get(needed)
-                        if span is None or span[1] - span[0] < k:
-                            raise NotRealizable(f"target component {j} lacks a slot in class {needed}")
-                        slot_map.append(range(span[0], span[0] + k))
-                        span[0] += k
+                        slot_map.append(range(free[needed], free[needed] + k))
+                        free[needed] += k
                     certificate.append(
                         CopyEmbedding(
                             target_component=j,
@@ -141,15 +138,17 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
     """Recheck a certificate run by run, independently of the matcher.
 
     The clauses, in the order they are checked, each name a failing verdict:
-    every copy fills its source component (``slot_count``) with nonempty
-    ranges of step 1 inside its target component (``slot_range``), whose
-    target classes are the classes the twisted copy needs
-    (``class_mismatch``); no target slot is taken twice (``reused_slot``);
-    the copies cover the matrix entry by entry (``matrix_coverage``); and a
-    unital spec covers every target slot (``unital_coverage``).
+    every copy names a target component, a source component and a twist
+    coset that exist (``index_range``); it fills its source component
+    (``slot_count``) with nonempty ranges of step 1 inside its target
+    component (``slot_range``), whose target classes are the classes the
+    twisted copy needs (``class_mismatch``); no target slot is taken twice
+    (``reused_slot``); the copies cover the matrix entry by entry
+    (``matrix_coverage``); and a unital spec covers every target slot
+    (``unital_coverage``).
     """
     space = spec.target.space
-    action, reps = space.action, spec.source.space.reps
+    action, reps, nc = space.action, spec.source.space.reps, space.num_cosets
     sources = spec.source.slot_classes()
     targets = [  # per target component: where each class interval ends, and its class
         ([*accumulate(k for _, k in classes)], [c for c, _ in classes]) for classes in spec.target.slot_classes()
@@ -158,6 +157,8 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
     demanded: Counter[tuple[int, int, int]] = Counter()
     for copy in spec.certificate:
         j, i, twist = copy.target_component, copy.source_component, copy.twist_coset
+        if not (0 <= j < len(targets) and 0 <= i < len(sources) and 0 <= twist < nc):
+            return Verdict(False, "index_range")
         comp = spec.source.components[i]
         if sum(map(len, copy.slot_map)) != comp.size:
             return Verdict(False, "slot_count")
@@ -191,7 +192,6 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
             if lo < prev:
                 return Verdict(False, "reused_slot")
             prev = hi
-    nc = space.num_cosets
     columns = spec.matrix.columns
     entries = {(i, *divmod(pos, nc)): k for i, col in enumerate(columns) for pos, k in enumerate(col.flat) if k}
     if demanded != entries:

@@ -50,6 +50,14 @@ def test_check_simplicial(tmp_path, capsys):
     assert "normal: True" in out
 
 
+def test_check_simplicial_rank_zero_is_stabilized_by_the_whole_group(tmp_path, capsys):
+    # the zero module over Z/3: every element fixes it, so its stabilizer is all of Z/3
+    payload = {"group": io.group_to_json(cyclic_group(3)), "delta_gens": [], "rank": 0}
+    path = write(tmp_path, "s.json", "simplicial", payload)
+    assert main(["--json", "check-simplicial", path]) == 0
+    assert json.loads(capsys.readouterr().out)["module_stabilizer"] == [0, 1, 2]
+
+
 def test_check_simplicial_wrong_kind(tmp_path, capsys):
     path = write(tmp_path, "s.json", "group", z2_payload())
     assert main(["check-simplicial", path]) == 2
@@ -832,10 +840,14 @@ def repeating(payload, **fields):
          "p: level 2 beyond the tower"),
         ("k0", "ring", ring_payload([2]), "ring: shift 2 out of range"),
         ("k0", "ring", ring_payload([-1]), "ring: shift -1 out of range"),
+        ("check-simplicial", "simplicial", simplicial_payload(delta_gens=[5]),
+         "simplicial: generator 5 out of range"),
+        ("check-simplicial", "simplicial", dict(simplicial_payload(), group={"order": 0, "mul": []}),
+         "group: empty table"),
     ],
     ids=["repeat_without_maps", "repeat_non_endomorphism", "repeat_moves_unit", "realize_tower_mode_none",
          "extend_non_order_unit", "realize_without_unit", "colimit_without_q", "level_beyond_tower",
-         "shift_past_the_order", "negative_shift"],
+         "shift_past_the_order", "negative_shift", "generator_out_of_range", "empty_group_table"],
 )
 def test_cli_reachable_rejections_exit_2(tmp_path, capsys, command, kind, payload, message):
     path = write(tmp_path, "p.json", kind, payload)

@@ -124,6 +124,27 @@ def test_verify_hom_spec_rejects_slots_outside_the_component():
         assert verify_hom_spec(moved) == Verdict(False, "slot_range"), slot_map
 
 
+def test_verify_hom_spec_rejects_indices_out_of_range():
+    # one copy of M1(1) into M3(1, 1, x) over Z/2: one source component, one
+    # target component and two twist cosets; a negative index would be read
+    # from the end of its list, and one past the end would raise
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    R = realize_simplicial(G, G.element([[1, 0]])).ring
+    S = realize_simplicial(G, G.element([[2, 1]])).ring
+    spec = hom_realizable(R, S, map_new(G, G, [G.element([[1, 0]])]), unital=False)
+    assert verify_hom_spec(spec)
+    for field, value in [
+        ("twist_coset", 5),
+        ("source_component", 3),
+        ("target_component", 4),
+        ("target_component", -1),
+        ("twist_coset", -1),
+    ]:
+        moved = replace(spec, certificate=(replace(spec.certificate[0], **{field: value}),))
+        assert verify_hom_spec(moved) == Verdict(False, "index_range"), (field, value)
+
+
 def test_verify_hom_spec_checks_each_range():
     # M2(1, 1) into M4(1, 1, 1, 1) and into M3(1, 1, x) along the identity class map
     Z2 = cyclic_group(2)

@@ -1,8 +1,6 @@
 """Kernel-controlled factorization of positive maps."""
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,9 +20,7 @@ from gammak0 import (
 )
 from gammak0.serialize import hom_from_json
 from conftest import random_positive_map, simplicial_over, small_groups, zero_map
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import corpus  # noqa: E402
+from test_golden import frozen_problems
 
 
 def test_shen_multiplication_by_one_plus_x():
@@ -138,14 +134,15 @@ def test_shen_with_nontrivial_normal_stabilizer():
 
 
 def test_shen_branch_matches_the_kernel_lattice_on_the_benchmark_corpus():
-    """The rank test picks the branch that a non-empty kernel lattice picked."""
+    """The rank test picks the branch that a non-empty kernel lattice picked, on
+    the 192 ``shen`` problems of the frozen golden ``kernels`` workload."""
     branches = set()
-    for p in corpus.generate("kernels", 1):
-        if p.cmd != "shen":
-            continue
-        (doc,) = p.files.values()
+    shen = [p for p in frozen_problems("kernels") if p["cmd"] == "shen"]
+    assert len(shen) == 192
+    for p in shen:
+        (doc,) = p["files"].values()
         g1 = hom_from_json(doc["payload"])
         through_target = shen_step(g1).g12 is g1
-        assert through_target == bool(kernel_lattice(g1)), p.pid
+        assert through_target == bool(kernel_lattice(g1)), p["pid"]
         branches.add(through_target)
     assert branches == {True, False}
