@@ -7,6 +7,8 @@ matricial rings: class groups, graded isomorphism, realization of groups and
 of positive class maps by ring data, decomposition and unperforation
 witnesses, kernel-controlled factorizations, sequential towers with
 horizon-bounded colimit queries, and ordered extensions by a coset module.
+A graded matricial ring is stored as its unit class, a ``GammaVector`` with
+one coordinate per block.
 """
 
 from .errors import (
@@ -89,12 +91,12 @@ from .limits import (
     tower_new,
 )
 from .graded_matricial import (
-    MatricialComponent,
-    MatricialRingDesc,
+    describe,
     graded_iso,
     homog_dim,
     k0_of_matricial,
     matricial_ring,
+    slot_classes,
 )
 from .hom_realization import (
     CopyEmbedding,

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import serialize as io
 from .errors import EngineError
 from .extension import ext_sdp_witness, extend_tower
-from .graded_matricial import graded_iso, homog_dim, k0_of_matricial
+from .graded_matricial import describe, graded_iso, homog_dim
 from .hom_realization import realize_simplicial, realize_tower, verify_hom_spec
 from .limits import colimit_eq
 from .ordered_simplicial import group_stabilizer, is_order_unit
@@ -165,8 +165,8 @@ def _cmd_realize(args, payload) -> int:
     _emit(
         args,
         lambda: [
-            f"ring: {ring.describe()}",
-            f"components: {ring.num_components}",
+            f"ring: {describe(ring)}",
+            f"components: {ring.group.rank}",
             "unit class reproduced exactly",
         ],
         io.ring_to_json(ring),
@@ -188,7 +188,7 @@ def _cmd_realize_tower(args, payload) -> int:
     }
     _emit(
         args,
-        lambda: [f"level {n}: {r.describe()}" for n, r in enumerate(realized.rings)]
+        lambda: [f"level {n}: {describe(r)}" for n, r in enumerate(realized.rings)]
         + [f"{len(realized.specs)} connecting specs; certificates verified"],
         data,
     )
@@ -196,14 +196,13 @@ def _cmd_realize_tower(args, payload) -> int:
 
 
 def _cmd_k0(args, payload) -> int:
-    ring = io.ring_from_json(payload)
-    unit = k0_of_matricial(ring)
-    space = ring.space
+    unit = io.ring_from_json(payload)  # a ring is stored as its unit class
+    space = unit.group.space
     data = {
         "rank": unit.group.rank,
         "delta": list(space.sub.members),
         "unit_class": io.vector_to_json(unit),
-        "homog_dim_identity": homog_dim(ring, space.parent.identity),
+        "homog_dim_identity": homog_dim(unit, space.parent.identity),
     }
     _emit(
         args,

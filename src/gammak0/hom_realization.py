@@ -1,7 +1,8 @@
 """Realization of simplicial groups and of positive class maps by ring data.
 
-``realize_simplicial`` turns an ordered pair (group, order-unit) into a
-matricial descriptor whose class data reproduces it on the nose.
+A graded matricial ring is stored as its unit class (see
+``graded_matricial``), so ``realize_simplicial`` checks that the unit of an
+ordered pair (group, order-unit) is an order-unit and returns it as the ring.
 ``hom_realizable`` turns a positive class map into a block-embedding
 certificate: a per-component assignment of diagonal slots of matching
 class, taken and checked one class run at a time.  Towers of groups are
@@ -23,7 +24,7 @@ from .errors import (
     UnitMismatch,
 )
 from .gamma_maps import GammaLinearMap, is_positive_map, map_apply, map_compose
-from .graded_matricial import MatricialComponent, MatricialRingDesc, k0_of_matricial
+from .graded_matricial import slot_classes
 from .limits import Tower
 from .ordered_simplicial import GammaVector, SimplicialGroup, is_order_unit, leq
 from .sdp_engine import Verdict
@@ -31,7 +32,7 @@ from .sdp_engine import Verdict
 
 @dataclass(frozen=True)
 class RealizedSimplicial:  # kept while benchmark probes read realize_simplicial(...).ring
-    ring: MatricialRingDesc
+    ring: GammaVector
 
 
 @dataclass(frozen=True)
@@ -51,26 +52,25 @@ class CopyEmbedding:
 
 @dataclass(frozen=True)
 class HomSpec:
-    source: MatricialRingDesc
-    target: MatricialRingDesc
+    source: GammaVector
+    target: GammaVector
     matrix: GammaLinearMap
     unital: bool
     certificate: tuple[CopyEmbedding, ...]
 
 
 def realize_simplicial(group: SimplicialGroup, unit: GammaVector) -> RealizedSimplicial:
-    """Matricial descriptor whose class data is (group, unit) exactly:
-    component i holds as many slots of each class as coordinate i has mass
-    on that coset."""
+    """The ring whose class data is (group, unit) exactly: block i holds as
+    many slots of each class as coordinate i has mass on that coset, so the
+    ring is the unit itself."""
     if not is_order_unit(group, unit):
         raise NotOrderUnit("every coordinate of the unit must carry positive mass")
-    components = tuple(MatricialComponent(counts=unit.coord(i)) for i in range(group.rank))
-    return RealizedSimplicial(ring=MatricialRingDesc(space=group.space, components=components))
+    return RealizedSimplicial(ring=unit)
 
 
 def hom_realizable(
-    source: MatricialRingDesc,
-    target: MatricialRingDesc,
+    source: GammaVector,
+    target: GammaVector,
     matrix: GammaLinearMap,
     unital: bool,
 ) -> HomSpec:
@@ -87,23 +87,23 @@ def hom_realizable(
     class run by class run, one range of the lowest free slots of the class
     the run needs.
     """
-    unit_r = k0_of_matricial(source)
-    unit_s = k0_of_matricial(target)
-    if matrix.source != unit_r.group or matrix.target != unit_s.group:
+    if matrix.source != source.group or matrix.target != target.group:
         raise ShapeMismatch("matrix does not match the class groups")
+    if not (is_order_unit(source.group, source) and is_order_unit(target.group, target)):
+        raise NotOrderUnit("a ring holds no negative count and at least one slot in every block")
     if not is_positive_map(matrix):
         raise NotPositiveMap("class maps must be positive")
-    image_unit = map_apply(matrix, unit_r)
+    image_unit = map_apply(matrix, source)
     if unital:
-        if image_unit != unit_s:
+        if image_unit != target:
             raise UnitMismatch("unital spec must carry unit class to unit class")
     else:
-        if not leq(image_unit, unit_s):
+        if not leq(image_unit, target):
             raise NotRealizable("image of the unit class exceeds the target capacity")
-    action, reps = target.space.action, source.space.reps
-    runs_of = [[(reps[c], k) for c, k in classes] for classes in source.slot_classes()]
+    action, reps = target.group.space.action, source.group.space.reps
+    runs_of = [[(reps[c], k) for c, k in classes] for classes in slot_classes(source)]
     certificate: list[CopyEmbedding] = []
-    for j, host in enumerate(target.slot_classes()):
+    for j, host in enumerate(slot_classes(target)):
         free: dict[int, int] = {}  # class -> its lowest free slot; the unit check above leaves room
         end = 0
         for c, k in host:
@@ -147,11 +147,11 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
     (``matrix_coverage``); and a unital spec covers every target slot
     (``unital_coverage``).
     """
-    space = spec.target.space
-    action, reps, nc = space.action, spec.source.space.reps, space.num_cosets
-    sources = spec.source.slot_classes()
+    space = spec.target.group.space
+    action, reps, nc = space.action, spec.source.group.space.reps, space.num_cosets
+    sources = slot_classes(spec.source)
     targets = [  # per target component: where each class interval ends, and its class
-        ([*accumulate(k for _, k in classes)], [c for c, _ in classes]) for classes in spec.target.slot_classes()
+        ([*accumulate(k for _, k in classes)], [c for c, _ in classes]) for classes in slot_classes(spec.target)
     ]
     taken: list[list[tuple[int, int]]] = [[] for _ in targets]
     demanded: Counter[tuple[int, int, int]] = Counter()
@@ -159,12 +159,11 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
         j, i, twist = copy.target_component, copy.source_component, copy.twist_coset
         if not (0 <= j < len(targets) and 0 <= i < len(sources) and 0 <= twist < nc):
             return Verdict(False, "index_range")
-        comp = spec.source.components[i]
-        if sum(map(len, copy.slot_map)) != comp.size:
+        runs, intervals = sources[i], taken[j]
+        if sum(map(len, copy.slot_map)) != sum(k for _, k in runs):
             return Verdict(False, "slot_count")
         ends, classes = targets[j]
         size = ends[-1]
-        runs, intervals = sources[i], taken[j]
         n = left = 0  # the next source class run and the slots left in the current one
         for r in copy.slot_map:
             lo, hi = r.start, r.stop
@@ -197,9 +196,8 @@ def verify_hom_spec(spec: HomSpec) -> Verdict:
     if demanded != entries:
         return Verdict(False, "matrix_coverage")
     if spec.unital:
-        for j, comp in enumerate(spec.target.components):
-            covered = sum(hi - lo for lo, hi in taken[j])
-            if covered != comp.size:
+        for (ends, _), intervals in zip(targets, taken):
+            if sum(hi - lo for lo, hi in intervals) != ends[-1]:
                 return Verdict(False, "unital_coverage")
     return Verdict(True)
 
@@ -219,7 +217,7 @@ def hom_compose(second: HomSpec, first: HomSpec) -> HomSpec:
 
 @dataclass(frozen=True)
 class RealizedTower:
-    rings: tuple[MatricialRingDesc, ...]
+    rings: tuple[GammaVector, ...]
     specs: tuple[HomSpec, ...]
 
 

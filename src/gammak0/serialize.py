@@ -19,7 +19,7 @@ from .errors import SchemaError, ShapeMismatch
 from .extension import ExtendedGroup
 from .finite_group import CosetSpace, FiniteGroup, _all_ints, _is_int, coset_space, group_from_table, subgroup_closure
 from .gamma_maps import GammaLinearMap, map_new
-from .graded_matricial import MatricialRingDesc, matricial_ring
+from .graded_matricial import matricial_ring, slot_classes
 from .group_ring import GroupRingElt
 from .hom_realization import HomSpec
 from .limits import ColimitElt, Tower, tower_new
@@ -259,7 +259,7 @@ def colimit_elt_from_json(t: Tower, data: Any, context: str = "element") -> Coli
 # -- rings ------------------------------------------------------------------------
 
 
-def ring_from_json(payload: dict) -> MatricialRingDesc:
+def ring_from_json(payload: dict) -> GammaVector:
     space = space_from_json(payload, context="ring")
     comps_data = _need(payload, "components", "ring")
     if not isinstance(comps_data, list):
@@ -283,15 +283,16 @@ def ring_from_json(payload: dict) -> MatricialRingDesc:
         raise SchemaError(f"ring: {exc}")
 
 
-def ring_to_json(ring: MatricialRingDesc) -> dict:
+def ring_to_json(ring: GammaVector) -> dict:
     """One shift per diagonal slot, in the ring's slot order: rep_c^{-1} for
     each slot of class c."""
-    out = space_to_json(ring.space)
-    reps, inv = ring.space.reps, ring.space.parent.inv
-    out["components"] = [
-        {"size": c.size, "shifts": list(chain.from_iterable(repeat(inv[reps[cls]], k) for cls, k in classes))}
-        for c, classes in zip(ring.components, ring.slot_classes())
-    ]
+    space = ring.group.space
+    out = space_to_json(space)
+    reps, inv = space.reps, space.parent.inv
+    out["components"] = []
+    for classes in slot_classes(ring):
+        shifts = list(chain.from_iterable(repeat(inv[reps[cls]], k) for cls, k in classes))
+        out["components"].append({"size": len(shifts), "shifts": shifts})
     return out
 
 

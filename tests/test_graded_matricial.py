@@ -39,7 +39,8 @@ def test_homog_dim_full_subgroup():
     for g in (cyclic_group(2), dihedral_group(3)):
         space = coset_space(g, full_subgroup(g))
         R = matricial_ring(space, [(2, [0, 1]), (1, [g.order - 1])])
-        total = sum(c.size**2 for c in R.components)
+        total = sum(sum(R.coord(i)) ** 2 for i in range(R.group.rank))
+        assert total == 2**2 + 1**2
         for d in g.elements():
             assert homog_dim(R, d) == total
 
@@ -55,7 +56,7 @@ def test_homog_dim_sum_identity():
             ]
             R = matricial_ring(space, comps)
             total = sum(homog_dim(R, d) for d in g.elements())
-            assert total == space.sub.order * sum(c.size**2 for c in R.components)
+            assert total == space.sub.order * sum(p**2 for p, _ in comps)
 
 
 def test_homog_dim_brute_force_oracle():

@@ -148,6 +148,18 @@ def test_hom_realizable_checks_each_class_group():
         hom_realizable(R2, R2, up, unital=True)  # source wrong, target right
 
 
+def test_hom_realizable_rejects_vectors_that_are_not_rings():
+    # a ring is its unit class: no negative count, and at least one slot in every block
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    ring, f = G.element([[1, 0]]), map_new(G, G, [G.element([[1, 0]])])
+    for bad in (G.zero(), G.element([[2, -1]])):
+        with pytest.raises(NotOrderUnit):
+            hom_realizable(bad, ring, f, unital=False)
+        with pytest.raises(NotOrderUnit):
+            hom_realizable(ring, bad, f, unital=False)
+
+
 def test_hom_realizable_takes_the_lowest_free_slots_of_each_class():
     # over D3 with D = <s>, the shifts 1, r, s put two slots in the class D
     # and one in another; a loaded ring keeps the counts, not the slot order,

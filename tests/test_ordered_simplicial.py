@@ -144,6 +144,11 @@ def test_interpolate_trivial_cases():
     assert interpolate(G, [G.zero()], [G.zero()]) == G.zero()
     with pytest.raises(PreorderViolated):
         interpolate(G, [G.element([[1, 0]])], [G.zero()])
+    # no lower bound: the slotwise minimum of the upper ones; no bound at all: zero
+    G = simplicial_over(cyclic_group(3), [], 1)
+    uppers = [G.element([[3, 1, 2]]), G.element([[1, 4, 2]])]
+    assert interpolate(G, [], uppers) == G.element([[1, 1, 2]])
+    assert interpolate(G, [], []) == G.zero()
 
 
 def test_interpolate_bounds_random():

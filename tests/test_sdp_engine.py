@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gammak0 import sdp_engine
 from gammak0 import (
     ExtendedGroup,
     GammaVector,
@@ -205,6 +206,31 @@ def test_m1_augmentation_witness_answers_past_the_budget():
     found = search_unperforation_witness_m1(G, a, x)
     assert found == SdpWitness(m=1, b=((GroupRingElt.one(g),),), y=(x,))
     assert verify_unperforation_witness(G, a, x, found)
+
+
+@pytest.mark.parametrize(
+    "rows, estimate, y",
+    [
+        # 2 values of d, 6 compositions of 2 into 3 cosets, 3 + 1 columns, |G| = 3
+        ([[2, 0, 0]], 144, [[0, 0, 2]]),
+        # 1 value of d, 3 * 3 compositions, 2 * 3 + 1 columns, |G| = 3
+        ([[1, 0, 0], [0, 1, 0]], 189, [[0, 0, 1], [1, 0, 0]]),
+    ],
+)
+def test_m1_augmentation_gives_up_exactly_past_its_budget(monkeypatch, rows, estimate, y):
+    """Over Z/3 with D = 1 and a = 1, the augmentation's estimate of the
+    system entries it would fill is exact at these x.  Within that budget it
+    meets the witness b = g; one entry less and it gives up undecided."""
+    g = cyclic_group(3)
+    G = simplicial_over(g, [], len(rows))
+    a, x = GroupRingElt.one(g), G.element(rows)
+    monkeypatch.setattr(sdp_engine, "M1_BUDGET", estimate)
+    refuted, found = sdp_engine._augmentation(G, a, x)
+    assert not refuted
+    assert found == SdpWitness(m=1, b=((GroupRingElt(g, {1: 1}),),), y=(G.element(y),))
+    assert verify_unperforation_witness(G, a, x, found)
+    monkeypatch.setattr(sdp_engine, "M1_BUDGET", estimate - 1)
+    assert sdp_engine._augmentation(G, a, x) == (False, None)
 
 
 def test_m1_search_finds_easy_witness():
