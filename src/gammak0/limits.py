@@ -47,13 +47,10 @@ class Tower:
     units: tuple[GammaVector, ...] | None
     repeat_last: bool
 
-    def last_explicit_level(self) -> int:
-        return len(self.groups) - 1
-
     def max_level(self, horizon: int) -> int:
         if self.repeat_last:
             return horizon
-        return min(horizon, self.last_explicit_level())
+        return min(horizon, len(self.groups) - 1)
 
     def group_at(self, level: int) -> SimplicialGroup:
         if level < len(self.groups):
@@ -136,7 +133,7 @@ def tower_new(
 def _start_levels(t: Tower, horizon: int, *elts: ColimitElt) -> tuple[int, int] | ColimitAnswer:
     l0 = max(e.level for e in elts)
     h_max = t.max_level(horizon)
-    if l0 > h_max or any(e.level > t.max_level(e.level) for e in elts):
+    if l0 > h_max:
         return ColimitAnswer(kind="unknown", level=None, reason="horizon_too_small")
     return l0, h_max
 

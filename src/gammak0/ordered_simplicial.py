@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import gt
 from typing import Iterable, Sequence
 
 from .errors import GroupMismatch, IndexOutOfRange, NotInCone, PreorderViolated, ShapeMismatch, SumMismatch
@@ -184,28 +185,23 @@ def is_order_unit(group: SimplicialGroup, u: GammaVector) -> bool:
     return group.cone_contains(u) and all(any(u.coord(i)) for i in range(group.rank))
 
 
-def _slotwise(x: GammaVector, y: GammaVector, fn) -> GammaVector:
-    return GammaVector(x.group, tuple(map(fn, x.flat, y.flat)))
-
-
 def interpolate(group: SimplicialGroup, lower: Iterable[GammaVector], upper: Iterable[GammaVector]) -> GammaVector:
-    """Least slot-wise interpolant z with x <= z <= y for all pairs."""
+    """Least slot-wise interpolant z with x <= z <= y for all pairs: the
+    slot-wise max of the lower bounds, else the slot-wise min of the upper
+    bounds, else zero.  Every pair is ordered exactly when that max lies
+    below that min."""
     lower = list(lower)
     upper = list(upper)
-    for x in lower:
-        for y in upper:
-            if not leq(x, y):
-                raise PreorderViolated("some lower element is not below some upper element")
+    if any(v.group != group for v in lower + upper):
+        raise ShapeMismatch("bound belongs to a different group")
+    low = tuple(map(max, zip(*(x.flat for x in lower))))
+    high = tuple(map(min, zip(*(y.flat for y in upper))))
+    if lower and upper and any(map(gt, low, high)):
+        raise PreorderViolated("some lower element is not below some upper element")
     if lower:
-        z = lower[0]
-        for x in lower[1:]:
-            z = _slotwise(z, x, max)
-        return z
+        return GammaVector(group, low)
     if upper:
-        z = upper[0]
-        for y in upper[1:]:
-            z = _slotwise(z, y, min)
-        return z
+        return GammaVector(group, high)
     return group.zero()
 
 
@@ -226,7 +222,7 @@ def riesz_refine(
             raise NotInCone("refinement inputs must lie in the cone")
     if x1 + x2 != y1 + y2:
         raise SumMismatch("row and column sums disagree")
-    z11 = _slotwise(x1, y1, min)
+    z11 = GammaVector(group, tuple(map(min, x1.flat, y1.flat)))
     z12 = x1 - z11
     z21 = y1 - z11
     z22 = x2 - z21

@@ -12,10 +12,10 @@ checks need is scattered term by term into one list per row, and each
 projected product is summed coset-wise; neither the vectors b*y nor the
 group-ring products are built.
 
-A single-term (m=1) witness need not exist.  The augmentation decides
-refutations exactly where it applies and meets some witnesses on the way;
-witnesses are searched for in a coefficient box first; an instance that
-neither decides is reported undecided together with its box.
+A single-term (m=1) witness need not exist.  The augmentation answers
+where it decides, with an exact refutation or the first witness it meets;
+the coefficient box is searched only where it decides nothing, and an
+instance that neither decides is reported undecided together with its box.
 """
 
 from __future__ import annotations
@@ -252,19 +252,18 @@ def search_unperforation_witness_m1(
 ) -> SdpWitness | M1Undecided | None:
     """Single-term witness x = b*y, None when none exists, or ``M1Undecided``.
 
-    None is an exact refutation by the augmentation (``_augmentation``),
-    decided before any search.  Witnesses are found by an exhaustive search
-    over a box: coefficients of b in [-B, B] and entries of y in [0, B], with
-    B the largest absolute coefficient in the instance plus two; the first
-    witness in product order is returned.  Since b acts on each coordinate
-    independently, candidates for y are enumerated per coordinate.  When the
-    box holds no witness, or is past ``M1_BUDGET``, the witness that the
-    augmentation met is returned; failing that, the instance is undecided,
-    reported with its box B, or past the budget a ``ValueError``.
+    The augmentation (``_augmentation``) answers where it decides: None is
+    its exact refutation, and a witness it meets is returned as it is.  The
+    box is searched only where it decides nothing: coefficients of b in
+    [-B, B] and entries of y in [0, B], with B the largest absolute
+    coefficient in the instance plus two; the first witness in product order
+    is returned.  Since b acts on each coordinate independently, candidates
+    for y are enumerated per coordinate.  A box with no witness is reported
+    undecided with its B, and a box past ``M1_BUDGET`` raises ``ValueError``.
     """
     refuted, met = _augmentation(group, a, x)
-    if refuted:
-        return None
+    if refuted or met is not None:
+        return met
     bound = max(a.max_abs_coeff(), x.max_abs_coeff()) + 2
     G = group.space.parent
     space = group.space
@@ -272,8 +271,6 @@ def search_unperforation_witness_m1(
     b_count = (2 * bound + 1) ** G.order
     y_count = (bound + 1) ** nc
     if b_count * max(1, group.rank) * y_count > M1_BUDGET:
-        if met is not None:
-            return met
         raise ValueError(
             f"search space {b_count * max(1, group.rank) * y_count} exceeds "
             f"budget {M1_BUDGET}; reduce the instance"
@@ -305,4 +302,4 @@ def search_unperforation_witness_m1(
         else:
             y = group.element(solution)
             return SdpWitness(m=1, b=((b,),), y=(y,))
-    return met or M1Undecided(bound)
+    return M1Undecided(bound)

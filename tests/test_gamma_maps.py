@@ -15,6 +15,7 @@ from gammak0 import (
     intlinalg,
     is_positive_map,
     kernel_lattice,
+    kernels_equal,
     lift_vector,
     map_apply,
     map_compose,
@@ -66,6 +67,13 @@ def test_shape_mismatch():
     f = map_new(H, H, [H.element([[1, 1]])])
     with pytest.raises(ShapeMismatch):
         map_apply(f, G.element([[1, 0], [0, 0]]))
+    Z3 = simplicial_over(cyclic_group(3), [], 1)
+    with pytest.raises(ShapeMismatch, match="^source and target over different groups$"):
+        map_new(H, Z3, [Z3.element([[1, 0, 0]])])
+    with pytest.raises(ShapeMismatch, match="^column does not belong to the target group$"):
+        map_new(H, G, [H.element([[1, 0]])])
+    with pytest.raises(ShapeMismatch, match="^kernels live in different groups$"):
+        kernels_equal(f, identity_map(G))
 
 
 def test_apply_examples():

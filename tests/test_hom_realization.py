@@ -6,6 +6,7 @@ import pytest
 
 from gammak0 import (
     NotOrderUnit,
+    NotPositiveMap,
     NotRealizable,
     ShapeMismatch,
     SimplicialGroup,
@@ -135,6 +136,15 @@ def test_hom_not_realizable():
         hom_realizable(R, S, B, unital=False)
 
 
+def test_hom_realizable_requires_a_positive_matrix():
+    Z2 = cyclic_group(2)
+    G = simplicial_over(Z2, [], 1)
+    R = realize_simplicial(G, G.element([[2, 1]])).ring
+    B = map_new(G, G, [G.element([[1, -1]])])
+    with pytest.raises(NotPositiveMap, match="^class maps must be positive$"):
+        hom_realizable(R, R, B, unital=False)
+
+
 def test_hom_realizable_checks_each_class_group():
     # one class group right and the other wrong must fail the shape check
     Z2 = cyclic_group(2)
@@ -222,6 +232,8 @@ def test_hom_compose_functorial():
     assert composed.unital
     assert verify_hom_spec(composed)
     assert composed.matrix == map_compose(h2.matrix, h1.matrix)
+    with pytest.raises(ShapeMismatch, match="^specs do not compose$"):
+        hom_compose(h1, h2)  # h2 ends at R3, h1 starts at R1
 
 
 def _random_realizable_pair(rng, G, unital: bool):

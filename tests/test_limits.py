@@ -10,11 +10,13 @@ from gammak0 import (
     ColimitElt,
     DeltaMismatch,
     NotPositiveMap,
+    ShapeMismatch,
     UnitNotPreserved,
     colimit_eq,
     colimit_positive,
     cyclic_group,
     dihedral_group,
+    identity_map,
     kernel_lattice,
     leq,
     limits,
@@ -81,6 +83,39 @@ def test_tower_rejects_unit_violation():
         tower_new([G, G], [m], units=[u.scale(2), u], mode="interval")
 
 
+def test_tower_new_names_each_shape_fault():
+    G = simplicial_over(cyclic_group(2), [], 1)
+    H = simplicial_over(cyclic_group(2), [], 2)
+    f, u = identity_map(G), G.basis_vector(0)
+    with pytest.raises(ValueError, match="^a tower needs at least one group$"):
+        tower_new([], [])
+    with pytest.raises(ShapeMismatch, match="^a tower of n groups needs n-1 maps$"):
+        tower_new([G, G], [])
+    with pytest.raises(ShapeMismatch, match="^map 0 does not match adjacent levels$"):
+        tower_new([G, H], [f])
+    with pytest.raises(ShapeMismatch, match="^one unit per level required$"):
+        tower_new([G, G], [f], units=[u], mode="unit")
+    with pytest.raises(ShapeMismatch, match="^unit 1 not in level 1$"):
+        tower_new([G, G], [f], units=[u, H.basis_vector(0)], mode="unit")
+
+
+def test_tower_refuses_levels_it_does_not_have():
+    G = simplicial_over(cyclic_group(2), [], 1)
+    t = constant_tower(G, 2)
+    assert t.map_at(0) == identity_map(G)
+    with pytest.raises(ShapeMismatch, match="^map at level 1 beyond a non-repeating tower$"):
+        t.map_at(1)
+    with pytest.raises(ShapeMismatch, match="^cannot push an element backwards$"):
+        t.push(ColimitElt(1, G.basis_vector(0)), 0)
+
+
+def test_colimit_answer_is_true_exactly_when_it_holds():
+    assert bool(ColimitAnswer(kind="equal", level=0))
+    assert bool(ColimitAnswer(kind="positive", level=0))
+    assert not ColimitAnswer(kind="unknown", reason="horizon_too_small")
+    assert not ColimitAnswer(kind="not_equal_up_to", level=3)
+
+
 def test_colimit_eq_doubling_tower():
     Z1 = cyclic_group(1)
     G = simplicial_over(Z1, [], 1)
@@ -113,6 +148,10 @@ def test_colimit_eq_horizon_too_small():
     t = constant_tower(G, 2)
     ans = colimit_eq(t, ColimitElt(5, G.element([[1]])), ColimitElt(0, G.zero()), 9)
     assert ans.kind == "unknown" and ans.reason == "horizon_too_small"
+    # past the last level of a non-repeating tower, and above the horizon of a repeating one
+    for tower, level, horizon in ((t, 5, 9), (tower_new(t.groups, t.maps, repeat_last=True), 4, 3)):
+        ans = colimit_positive(tower, ColimitElt(level, G.element([[1]])), horizon)
+        assert ans == ColimitAnswer(kind="unknown", level=None, reason="horizon_too_small")
 
 
 def test_colimit_eq_repeat_last():

@@ -10,6 +10,7 @@ from gammak0 import (
     GroupRingElt,
     NotInCone,
     PreorderViolated,
+    ShapeMismatch,
     SimplicialGroup,
     SumMismatch,
     coset_space,
@@ -149,6 +150,15 @@ def test_interpolate_trivial_cases():
     uppers = [G.element([[3, 1, 2]]), G.element([[1, 4, 2]])]
     assert interpolate(G, [], uppers) == G.element([[1, 1, 2]])
     assert interpolate(G, [], []) == G.zero()
+
+
+def test_interpolate_rejects_bounds_from_another_group():
+    # a rank-2 bound over Z/3 beside a rank-1 one: no slot-wise mix is an answer
+    A, B = (simplicial_over(cyclic_group(3), [], rank) for rank in (1, 2))
+    a, b = A.element([[1, 2, 0]]), B.element([[0, 5, 0], [1, 1, 1]])
+    for lower, upper in (([a, b], []), ([], [a, b]), ([a], [b]), ([b], [])):
+        with pytest.raises(ShapeMismatch, match="^bound belongs to a different group$"):
+            interpolate(A, lower, upper)
 
 
 def test_interpolate_bounds_random():

@@ -197,9 +197,9 @@ def test_m1_augmentation_refutes_by_each_rule():
 
 
 def test_m1_augmentation_witness_answers_past_the_budget():
-    """Over Z/3 with D = Z/3 (one coset) and x = (40, 0), the box (bound 42)
-    is past the budget, so the witness the augmentation meets at d = 1 is the
-    answer: b = 1 and y = x."""
+    """Over Z/3 with D = Z/3 (one coset) and x = (40, 0), the augmentation
+    decides, so its witness at d = 1 is the answer, b = 1 and y = x, and the
+    box (bound 42, past the budget) is never opened."""
     g = cyclic_group(3)
     G = simplicial_over(g, [1], 2)
     a, x = GroupRingElt.one(g), G.element([[40], [0]])
@@ -231,6 +231,30 @@ def test_m1_augmentation_gives_up_exactly_past_its_budget(monkeypatch, rows, est
     assert verify_unperforation_witness(G, a, x, found)
     monkeypatch.setattr(sdp_engine, "M1_BUDGET", estimate - 1)
     assert sdp_engine._augmentation(G, a, x) == (False, None)
+
+
+def test_m1_search_answers_with_the_augmentation_alone(monkeypatch):
+    """Over Z/4 with D = 1, a = 1 + g + g^2 + g^3 and x = 2 - g^2, the
+    augmentation meets a witness after one projected product, and the search
+    returns it without opening the coefficient box."""
+    g = cyclic_group(4)
+    G = simplicial_over(g, [], 1)
+    a = GroupRingElt(g, dict.fromkeys(g.elements(), 1))
+    x = G.element([[2, 0, -1, 0]])
+    calls, projected_product = [], sdp_engine._add_projected_product
+
+    def counted(*args):
+        calls.append(args)
+        return projected_product(*args)
+
+    monkeypatch.setattr(sdp_engine, "_add_projected_product", counted)
+    refuted, met = sdp_engine._augmentation(G, a, x)
+    alone = len(calls)
+    found = search_unperforation_witness_m1(G, a, x)
+    assert not refuted and met is not None
+    assert (alone, len(calls) - alone) == (1, 1)
+    assert found == met
+    assert verify_unperforation_witness(G, a, x, found)
 
 
 def test_m1_search_finds_easy_witness():
@@ -310,11 +334,18 @@ def test_verify_unperforation_witness_names_each_failed_clause():
 
 
 def assert_m1_matches_reference(G, a, x):
-    """The search's first witness is the brute force's; where the box holds
-    none, the search refutes exactly or reports the same box undecided."""
+    """Where the augmentation decides, the search gives its answer: a witness
+    that verifies, or None only where the brute force finds none in the box.
+    Elsewhere the search's first witness is the brute force's; where the box
+    holds none, the search reports the same box undecided."""
     found = search_unperforation_witness_m1(G, a, x)
     expected = m1_witness_reference(G, a, x)
-    if expected is None:
+    refuted, met = sdp_engine._augmentation(G, a, x)
+    if refuted or met is not None:
+        assert found == met
+        assert found is None or verify_unperforation_witness(G, a, x, found)
+        assert found is not None or expected is None
+    elif expected is None:
         box = max(a.max_abs_coeff(), x.max_abs_coeff()) + 2
         assert found is None or isinstance(found, M1Undecided) and found.box == box
     else:
@@ -327,7 +358,8 @@ def assert_m1_matches_reference(G, a, x):
 @pytest.mark.parametrize("gens", [[], [1]])
 def test_m1_search_matches_brute_force_on_every_z2_rank1_instance(gens):
     """Every a and x with entries in [-2, 2] over Z/2, rank 1, trivial and
-    full stabilizer: the same first witness, or none in the box.  Over the
+    full stabilizer: the augmentation's answer where it decides, elsewhere
+    the same first witness, or none in the box.  Over the
     trivial stabilizer the augmentation refutes 264 of the 384 instances
     without a witness; over the full one b acts through eps(b) alone, and
     the augmentation refutes all 40 of its 125 instances without a witness."""

@@ -7,6 +7,7 @@ import pytest
 from gammak0 import (
     DeltaNotNormal,
     NotPositiveMap,
+    TargetLacksSdp,
     cyclic_group,
     dihedral_group,
     identity_map,
@@ -70,6 +71,14 @@ def test_shen_requires_normal_stabilizer():
     G = simplicial_over(d3, [3], 1)  # {1, b} is not normal
     with pytest.raises(DeltaNotNormal):
         shen_step(identity_map(G))
+
+
+def test_shen_requires_the_source_coset_space_in_the_target():
+    d3 = dihedral_group(3)
+    src, tgt = simplicial_over(d3, [3], 1), simplicial_over(d3, [], 1)  # D3 over <b>, D3 over 1
+    g1 = map_new(src, tgt, [tgt.zero()])
+    with pytest.raises(TargetLacksSdp, match="^target must be a simplicial group over the same coset space$"):
+        shen_step(g1)
 
 
 def test_shen_requires_positive_map():
